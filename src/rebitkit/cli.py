@@ -85,20 +85,27 @@ def _round9_vector(v: np.ndarray) -> list[float]:
     return [_round9(x) for x in np.asarray(v, float)]
 
 
-def _parse_params(rest: str, spec: str) -> dict[str, str]:
+def _parse_params(rest: str, spec: str) -> dict[str, float]:
+    """``key=value`` pairs of a state spec; every key once, every value finite."""
     params = {}
     for part in rest.split(","):
-        key, eq, value = part.partition("=")
+        key, eq, value = (p.strip() for p in part.partition("="))
         if not eq:
             raise ValueError(f"malformed parameter {part!r} in state spec {spec!r}")
-        params[key.strip()] = value.strip()
+        if key in params:
+            raise ValueError(f"duplicate parameter {key!r} in state spec {spec!r}")
+        try:
+            params[key] = float(value)
+        except ValueError:
+            raise ValueError(f"parameter {key!r} in {spec!r} is not a number: {value!r}") from None
+        if not np.isfinite(params[key]):
+            raise ValueError(f"parameter {key!r} in {spec!r} must be finite, got {value!r}")
     return params
 
 
-def _mix_components(rest: str, spec: str) -> list[tuple[np.ndarray, float, str]]:
+def _mix_components(rest: str, spec: str) -> list[tuple[np.ndarray, float]]:
     components = []
-    for name, value in _parse_params(rest, spec).items():
-        weight = float(value)
+    for name, weight in _parse_params(rest, spec).items():
         if weight < 0:
             raise ValueError(f"negative weight for component {name!r}")
         if name == "mixed":
@@ -109,8 +116,8 @@ def _mix_components(rest: str, spec: str) -> list[tuple[np.ndarray, float, str]]
             )
         else:
             raise ValueError(f"unknown mix component {name!r} in {spec!r}")
-        components.append((gamma, weight, name))
-    if not components or sum(w for _, w, _ in components) <= 0:
+        components.append((gamma, weight))
+    if not components or sum(w for _, w in components) <= 0:
         raise ValueError(f"mix spec {spec!r} has no positive weight")
     return components
 
@@ -121,8 +128,9 @@ def parse_state_spec(spec: str) -> np.ndarray:
     kind = kind.strip().lower()
     if kind == "cfr":
         params = _parse_params(rest, spec)
-        q = float(params["q"])
-        vis = float(params.get("v", "1"))
+        if "q" not in params or not set(params) <= {"q", "v"}:
+            raise ValueError(f"cfr spec needs q=<value> and optionally v=<value>, got {spec!r}")
+        q, vis = params["q"], params.get("v", 1.0)
         if not 0.0 <= vis <= 1.0:
             raise ValueError(f"visibility must lie in [0, 1], got {vis}")
         return vis * cfr_state(q) + (1.0 - vis) * MIXED
@@ -138,8 +146,8 @@ def parse_state_spec(spec: str) -> np.ndarray:
             raise ValueError(f"unknown Bell state {rest!r}") from None
     if kind == "mix":
         components = _mix_components(rest, spec)
-        total = sum(w for _, w, _ in components)
-        return sum(g * (w / total) for g, w, _ in components)
+        total = sum(w for _, w in components)
+        return sum(g * (w / total) for g, w in components)
     if kind == "gamma":
         gamma = np.loadtxt(rest)
         return check_correlation(gamma)
@@ -408,19 +416,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     spec = args.state
     events = args.events
     seed = args.seed if args.seed is not None else _default_seed()
+    gamma = parse_state_spec(spec)
     kind, _, rest = spec.partition(":")
     if kind.strip().lower() == "mix":
         # classical mixture: simulate each component, then combine datasets
-        components = _mix_components(rest, spec)
-        total = sum(w for _, w, _ in components)
-        gamma = sum(g * (w / total) for g, w, _ in components)
         parts = [
             (simulate_counts(g, events, seed=seed + i), w)
-            for i, (g, w, _) in enumerate(components)
+            for i, (g, w) in enumerate(_mix_components(rest, spec))
         ]
         dataset = mix_datasets(parts)
     else:
-        gamma = parse_state_spec(spec)
         dataset = simulate_counts(gamma, events, seed=seed)
     meta = {
         "state": spec,
@@ -454,56 +459,34 @@ def _report_summary(report: ReportDocument) -> str:
     return "\n".join(lines)
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    dataset = read_counts(args.counts)
-    estimated = estimate_correlations(dataset)
+def cmd_characterize(args: argparse.Namespace) -> int:
+    """``analyze`` a counts file or run ``exact`` on a state spec."""
+    if args.command == "analyze":
+        estimated = estimate_correlations(read_counts(args.counts))
+        source = {"counts_path": args.counts}
+        mc_samples = args.mc_samples
+        mc_seed = args.seed if args.seed is not None else _default_seed()
+    else:
+        estimated = EstimatedState(gamma=parse_state_spec(args.state), sigma=np.zeros((4, 4)))
+        source = {"state": args.state}
+        mc_samples = mc_seed = 0
     fields = _parse_fields(args.fields)
-    seed = args.seed if args.seed is not None else _default_seed()
     target_gamma = parse_state_spec(args.target) if args.target else None
     extra = [_parse_observable(o) for o in args.observable]
     provenance = {
-        "command": "analyze",
-        "counts_path": args.counts,
+        "command": args.command,
+        **source,
         "fields": [f.value for f in fields],
         "target": args.target or "",
-        "mc_samples": args.mc_samples,
-        "mc_seed": seed,
+        "mc_samples": mc_samples,
+        "mc_seed": mc_seed,
     }
     report = run_analysis(
         estimated,
         fields,
         target_gamma,
-        mc_samples=args.mc_samples,
-        mc_seed=seed,
-        provenance=provenance,
-        extra_observables=extra,
-    )
-    write_report(args.out, report)
-    print(f"wrote {args.out}")
-    print(_report_summary(report))
-    return 0
-
-
-def cmd_exact(args: argparse.Namespace) -> int:
-    gamma = parse_state_spec(args.state)
-    fields = _parse_fields(args.fields)
-    target_gamma = parse_state_spec(args.target) if args.target else None
-    extra = [_parse_observable(o) for o in args.observable]
-    estimated = EstimatedState(gamma=gamma, sigma=np.zeros((4, 4)))
-    provenance = {
-        "command": "exact",
-        "state": args.state,
-        "fields": [f.value for f in fields],
-        "target": args.target or "",
-        "mc_samples": 0,
-        "mc_seed": 0,
-    }
-    report = run_analysis(
-        estimated,
-        fields,
-        target_gamma,
-        mc_samples=0,
-        mc_seed=0,
+        mc_samples=mc_samples,
+        mc_seed=mc_seed,
         provenance=provenance,
         extra_observables=extra,
     )
@@ -535,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument("--seed", type=int, default=None, help="Monte-Carlo seed")
     p_ana.add_argument("--observable", action="append", default=[], help="extra witness lz,lx,ly")
     p_ana.add_argument("--out", required=True, help="report file to write")
-    p_ana.set_defaults(func=cmd_analyze)
+    p_ana.set_defaults(func=cmd_characterize)
 
     p_ex = sub.add_parser("exact", help="characterize an exact state")
     p_ex.add_argument("--state", required=True, help="state spec")
@@ -543,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--fields", "--field", default="real,complex", help="comma list of number fields")
     p_ex.add_argument("--observable", action="append", default=[], help="extra witness lz,lx,ly")
     p_ex.add_argument("--out", required=True, help="report file to write")
-    p_ex.set_defaults(func=cmd_exact)
+    p_ex.set_defaults(func=cmd_characterize)
     return parser
 
 

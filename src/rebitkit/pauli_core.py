@@ -78,12 +78,6 @@ def polarization_state(label: str) -> LocalState:
     return LocalState(bloch=bloch.copy(), label=label)
 
 
-def bloch_of_ket(ket: np.ndarray) -> np.ndarray:
-    """Bloch 4-vector (1, <z>, <x>, <y>) of a normalized 2-vector."""
-    k = np.asarray(ket, dtype=complex)
-    return np.real(np.einsum("i,mij,j->m", k.conj(), PAULI, k))
-
-
 def check_correlation(g: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.shape != (4, 4):

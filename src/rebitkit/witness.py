@@ -10,13 +10,13 @@ hold, where ``L_a = (<a| (x) 1) L (|a> (x) 1)`` and analogously for
 separable states; an expectation outside those bounds certifies
 entanglement with respect to the chosen number field.  For observables
 diagonal in the Pauli-product basis the full solution set is known in
-closed form; a multistart alternating solver covers general symmetric
-observables.
+closed form.  General symmetric observables are solved in Bloch
+coordinates: completely over the reals, from a grid of starts over the
+complex numbers.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +29,6 @@ from .pauli_core import (
     LocalState,
     NumberField,
     POLARIZATION_BLOCH,
-    bloch_of_ket,
     check_correlation,
 )
 
@@ -121,69 +120,66 @@ def ordinary_spectrum(obs: DiagObservable) -> list[tuple[float, np.ndarray]]:
     return [(float(v), np.outer(k, k.conj())) for v, k in zip(values, bell)]
 
 
-def _reduced_a(tensor: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return np.einsum("i,ikjl,j->kl", a.conj(), tensor, a)
+def _reduced_bloch(lam: np.ndarray, a: np.ndarray, b: np.ndarray):
+    # Bloch parts c of lam^T (1, a) and d of lam (1, b): Bob's reduced
+    # operator is (c0 + c.sigma)/4 and Alice's is (d0 + d.sigma)/4
+    return lam[0, 1:] + a @ lam[1:, 1:], lam[1:, 0] + b @ lam[1:, 1:].T
 
 
-def _reduced_b(tensor: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("k,ikjl,l->ij", b.conj(), tensor, b)
+def _unit(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    """Rows of ``v`` scaled to unit length; a vanishing row keeps ``fallback``."""
+    n = np.linalg.norm(v, axis=-1, keepdims=True)
+    return np.where(n > 0.0, v / np.maximum(n, 1e-300), fallback)
 
 
-def _eig_residual(tensor, a, b, g):
-    ra = _reduced_a(tensor, a) @ b - g * b
-    rb = _reduced_b(tensor, b) @ a - g * a
-    return np.concatenate([ra, rb])
+def _newton(lam: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Riemannian Newton steps towards stationary points of (1, a)^T lam (1, b).
+
+    Rows of ``a`` and ``b`` are unit Bloch vectors.  The Hessian on the
+    product of spheres is padded with the normal projectors, so the step
+    stays tangent; its pseudo-inverse steps along no continuum of solutions.
+    """
+    eye, steps = np.eye(a.shape[1]), 8
+    for step in range(steps + 1):
+        c, d = _reduced_bloch(lam, a, b)
+        ad, bc = np.sum(a * d, axis=1, keepdims=True), np.sum(b * c, axis=1, keepdims=True)
+        grad = np.hstack([d - ad * a, c - bc * b])
+        if step == steps:
+            return a, b, c, d, np.linalg.norm(grad, axis=1)
+        pa, pb = (eye - v[:, :, None] * v[:, None, :] for v in (a, b))
+        cross = pa @ lam[1:, 1:] @ pb
+        hess = np.block([
+            [eye - (1.0 + ad[:, :, None]) * pa, cross],
+            [cross.transpose(0, 2, 1), eye - (1.0 + bc[:, :, None]) * pb],
+        ])
+        delta = np.einsum("nij,nj->ni", np.linalg.pinv(hess, rcond=1e-12, hermitian=True), grad)
+        a, b = _unit(a - delta[:, : len(eye)], a), _unit(b - delta[:, len(eye) :], b)
 
 
-def _perp(v: np.ndarray) -> np.ndarray:
-    p = np.array([-np.conj(v[1]), np.conj(v[0])])
-    return p / np.linalg.norm(p)
+def _real_candidates(lam: np.ndarray) -> np.ndarray:
+    """Alice's Bloch vector (cos t, sin t) at every real stationary angle t.
+
+    Bob's best responses b = +-c/|c| have value (c0 +- |c|)/4, stationary
+    where c0' |c| = -+ c.c'.  Squared, this is a trigonometric polynomial
+    of degree 4 in t; 16 samples give it exactly, and its roots are those
+    of a polynomial of degree 8 in exp(it).  If it vanishes identically,
+    the two stationary angles of c0 carry every stationary value.
+    """
+    t = 2.0 * np.pi * np.arange(16) / 16
+    c = np.stack([np.ones_like(t), np.cos(t), np.sin(t)], axis=1) @ lam
+    dc = np.stack([np.zeros_like(t), -np.sin(t), np.cos(t)], axis=1) @ lam
+    p = dc[:, 0] ** 2 * np.sum(c[:, 1:] ** 2, axis=1) - np.sum(c[:, 1:] * dc[:, 1:], axis=1) ** 2
+    roots = np.roots(np.fft.fft(p)[np.arange(4, -5, -1)])  # z^4 p, highest power first
+    t0 = np.arctan2(lam[2, 0], lam[1, 0])
+    t = np.concatenate([np.angle(roots[np.abs(np.abs(roots) - 1.0) < 1e-3]), [t0, t0 + np.pi]])
+    return np.stack([np.cos(t), np.sin(t)], axis=1)
 
 
-def _polish(tensor, a, b, g, real_field, steps=10):
-    # Gauss-Newton refinement of a near-solution of the coupled equations;
-    # needed because the alternating map converges slowly for nearly
-    # degenerate observables.
-    for _ in range(steps):
-        ap, bp = _perp(a), _perp(b)
-        if real_field:
-            def res_vec(t):
-                aa = a + t[0] * ap
-                bb = b + t[1] * bp
-                aa = aa / np.linalg.norm(aa)
-                bb = bb / np.linalg.norm(bb)
-                return _eig_residual(tensor, aa, bb, g + t[2])
-            t0 = np.zeros(3)
-        else:
-            def res_vec(t):
-                aa = a + (t[0] + 1j * t[1]) * ap
-                bb = b + (t[2] + 1j * t[3]) * bp
-                aa = aa / np.linalg.norm(aa)
-                bb = bb / np.linalg.norm(bb)
-                r = _eig_residual(tensor, aa, bb, g + t[4])
-                return np.concatenate([r.real, r.imag])
-            t0 = np.zeros(5)
-        r0 = res_vec(t0)
-        h = 1e-7
-        jac = np.empty((r0.size, t0.size))
-        for j in range(t0.size):
-            tj = t0.copy()
-            tj[j] = h
-            jac[:, j] = (res_vec(tj) - r0) / h
-        dt, *_ = np.linalg.lstsq(jac, -r0, rcond=None)
-        if real_field:
-            a = a + dt[0] * ap
-            b = b + dt[1] * bp
-            g = g + dt[2]
-        else:
-            a = a + (dt[0] + 1j * dt[1]) * ap
-            b = b + (dt[2] + 1j * dt[3]) * bp
-            g = g + dt[4]
-        a = a / np.linalg.norm(a)
-        b = b / np.linalg.norm(b)
-        if np.linalg.norm(_eig_residual(tensor, a, b, g)) < 1e-13:
-            break
-    return a, b, g
+def _fibonacci_sphere(n: int) -> np.ndarray:
+    z = 1.0 - (2.0 * np.arange(n) + 1.0) / n
+    phi = np.pi * (3.0 - np.sqrt(5.0)) * np.arange(n)  # golden-angle steps
+    rho = np.sqrt(1.0 - z**2)
+    return np.stack([z, rho * np.cos(phi), rho * np.sin(phi)], axis=1)
 
 
 def numeric_separability_eigs(
@@ -191,19 +187,24 @@ def numeric_separability_eigs(
     field: NumberField,
     n_starts: int = 64,
     seed: int = 0,
-    max_iters: int = 500,
-    res_tol: float = 1e-10,
 ) -> list[SeparabilityEigenpair]:
-    """Multistart alternating solver for the separability eigenvalue equations.
+    """Separability eigenpairs of a real symmetric observable, in Bloch form.
 
-    From each random product start and for every eigenvector branch of the
-    2x2 reduced operators, ``|b>`` is replaced by an eigenvector of L_a and
-    ``|a>`` by one of L_b until both equations hold to ``res_tol`` (scaled
-    by the observable norm).  Real-field iterates stay in real arithmetic
-    throughout.  A vanishing reduced operator makes every unit vector an
-    eigenvector; the iterate is kept and the converged pair flagged
-    degenerate.  Fixed points are deduplicated and returned sorted by
-    value; no completeness claim is made for general observables.
+    With the correlation matrix lam of ``obs``, <ab|L|ab> = (1, a)^T lam
+    (1, b) / 4 for Bloch vectors a, b; the separability eigenvalue
+    equations say that it is stationary in a and in b.  Over the reals the
+    solve is complete: Alice's stationary angles are the roots of one
+    trigonometric polynomial, so every solution at which Bob's reduced
+    operator is not a multiple of the identity is found, up to continua of
+    solutions, which yield at least one pair each.  Over the complex
+    numbers, best responses from a Fibonacci grid of ``n_starts`` points
+    on Alice's Bloch sphere reach the local extrema, with no completeness
+    claim.  Newton steps polish both; pairs that miss the equations by more
+    than 1e-10 (scaled by the observable norm) are dropped.  A pair is
+    degenerate when one party's reduced operator is a multiple of the
+    identity, so every state of the other party solves its equation.  The
+    result is deduplicated, sorted by value and deterministic; ``seed`` has
+    no effect and is kept for compatibility.
     """
     obs = np.asarray(obs, dtype=float)
     if obs.shape != (4, 4):
@@ -212,91 +213,40 @@ def numeric_separability_eigs(
         raise ValueError("observable must be symmetric")
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
-    real_field = field is NumberField.REAL
-    tensor = obs.reshape(2, 2, 2, 2)
+    lam = np.real(np.einsum("ij,mnji->mn", obs, KRON))
+    if field is NumberField.REAL:
+        lam = lam[:3, :3]
+        a, rounds = _real_candidates(lam), 0
+    else:
+        a, rounds = _fibonacci_sphere(n_starts), 20
+    # per start, one track follows best responses up towards a maximum and
+    # one down towards a minimum; over the reals only Bob responds, once
+    a, sign = np.tile(a, (2, 1)), np.repeat([1.0, -1.0], len(a))[:, None]
+    b = np.tile(np.eye(a.shape[1])[0], (len(a), 1))
+    for _ in range(rounds):
+        b = _unit(sign * _reduced_bloch(lam, a, b)[0], b)
+        a = _unit(sign * _reduced_bloch(lam, a, b)[1], a)
+    a, b, c, d, residual = _newton(lam, a, _unit(sign * _reduced_bloch(lam, a, b)[0], b))
     scale = np.linalg.norm(obs) + 1.0
-    deg_tol = 1e-12 * scale
-
-    found: list[tuple[float, np.ndarray, np.ndarray, bool]] = []
-    nonconverged = 0
-    for s in range(n_starts):
-        rng = np.random.default_rng(seed + s)
-        if real_field:
-            a0 = rng.normal(size=2)
-            b0 = rng.normal(size=2)
-        else:
-            a0 = rng.normal(size=2) + 1j * rng.normal(size=2)
-            b0 = rng.normal(size=2) + 1j * rng.normal(size=2)
-        a0 = a0 / np.linalg.norm(a0)
-        b0 = b0 / np.linalg.norm(b0)
-        for pa in (0, 1):
-            for pb in (0, 1):
-                a, b = a0.copy(), b0.copy()
-                degenerate = converged = False
-                for it in range(max_iters):
-                    la = _reduced_a(tensor, a)
-                    deg_b = np.linalg.norm(la) < deg_tol
-                    if not deg_b:
-                        b = np.linalg.eigh(la)[1][:, pb]
-                    lb = _reduced_b(tensor, b)
-                    deg_a = np.linalg.norm(lb) < deg_tol
-                    if not deg_a:
-                        a = np.linalg.eigh(lb)[1][:, pa]
-                    ab = np.kron(a, b)
-                    g = float(np.real(np.vdot(ab, obs @ ab)))
-                    res = np.linalg.norm(_eig_residual(tensor, a, b, g))
-                    if res < res_tol * scale:
-                        degenerate = deg_a or deg_b
-                        converged = True
-                        break
-                    if it >= 30 and it % 30 == 0 and res < 1e-3 * scale:
-                        a, b, g = _polish(tensor, a, b, g, real_field)
-                        if real_field:
-                            a, b = np.real(a), np.real(b)
-                            a = a / np.linalg.norm(a)
-                            b = b / np.linalg.norm(b)
-                        res = np.linalg.norm(_eig_residual(tensor, a, b, g))
-                        if res < res_tol * scale:
-                            converged = True
-                            break
-                if not converged:
-                    nonconverged += 1
-                    continue
-                found.append((g, a, b, degenerate))
-
-    if nonconverged:
-        warnings.warn(
-            f"{nonconverged} of {4 * n_starts} solver tracks did not converge "
-            f"within {max_iters} iterations",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    unique: list[tuple[float, np.ndarray, np.ndarray, bool]] = []
-    for g, a, b, deg in found:
-        duplicate = False
-        for g2, a2, b2, deg2 in unique:
-            if abs(g - g2) >= 1e-7 * scale:
-                continue
-            if deg and deg2:
-                duplicate = True
-                break
-            if abs(np.vdot(a, a2)) > 1 - 1e-7 and abs(np.vdot(b, b2)) > 1 - 1e-7:
-                duplicate = True
-                break
-        if not duplicate:
-            unique.append((g, a, b, deg))
-    unique.sort(key=lambda t: t[0])
-
+    values = 0.25 * (lam[0, 0] + a @ lam[1:, 0] + np.sum(b * c, axis=1)) + 0.0  # never -0.0
+    degenerate = np.minimum(np.linalg.norm(c, axis=1), np.linalg.norm(d, axis=1)) < 1e-9 * scale
+    states = np.hstack([a, b])
+    # one pair per solution; a degenerate pair stands for all of its value
+    kept: list[int] = []
+    for i in np.flatnonzero(residual < 1e-10 * scale):
+        near = np.abs(values[kept] - values[i]) < 1e-7 * scale
+        close = np.all(np.abs(states[kept] - states[i]) < 1e-6, axis=1)
+        if not np.any(near & (close | degenerate[kept] & degenerate[i])):
+            kept.append(i)
+    kept.sort(key=lambda i: values[i])
+    # Bloch 4-vectors (1, z, x, y), with y = 0 for rebits
+    pad = ((0, 0), (1, 3 - a.shape[1]))
+    a, b = (np.pad(v, pad, constant_values=((0, 0), (1, 0))) for v in (a, b))
     return [
         SeparabilityEigenpair(
-            value=g,
-            alice=LocalState(bloch_of_ket(a)),
-            bob=LocalState(bloch_of_ket(b)),
-            field=field,
-            degenerate=deg,
+            float(values[i]), LocalState(a[i]), LocalState(b[i]), field, bool(degenerate[i])
         )
-        for g, a, b, deg in unique
+        for i in kept
     ]
 
 

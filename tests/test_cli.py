@@ -198,6 +198,25 @@ def test_analyze_missing_file_exit_code(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("cfr:v=0.9", "needs q="),
+        ("cfr:q=1,w=2", "needs q="),
+        ("cfr:q=abc", "not a number"),
+        ("mix:RR=0,RR=1", "duplicate parameter 'RR'"),
+        ("mix:RR=nan", "must be finite"),
+        ("mix:RR=inf,LL=1", "must be finite"),
+    ],
+)
+def test_exact_rejects_bad_spec(tmp_path, capsys, spec, message):
+    out = tmp_path / "r.json"
+    assert cli.main(["exact", "--state", spec, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_read_counts_rejects_non_integer(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("z z 1.5 2 3 4\n")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -257,3 +259,89 @@ def test_evaluate_witness_k_margin():
     assert v.r_entangled
     with pytest.raises(ValueError):
         wt.evaluate_witness(g, wt.SIGMA_YY, sigma_gamma=sigma, k=0.0)
+
+
+def random_symmetric(rng):
+    m = rng.normal(size=(4, 4))
+    return (m + m.T) / 2
+
+
+def rebit_kets(t):
+    """Kets (cos t/2, sin t/2) with Bloch vectors (1, cos t, sin t, 0)."""
+    return np.stack([np.cos(t / 2), np.sin(t / 2)], axis=1)
+
+
+def real_correlation(m):
+    """tr(L s_mu (x) s_nu) over (0, z, x), from explicit Pauli matrices (oracle)."""
+    paulis = [np.eye(2), np.array([[1, 0], [0, -1.0]]), np.array([[0, 1], [1, 0.0]])]
+    return np.array([[np.trace(m @ np.kron(p, q)) for q in paulis] for p in paulis])
+
+
+def test_numeric_real_field_complete():
+    # Bob's best responses b = +-c/|c| to a = (cos t, sin t) have value
+    # h(t) = (c0 +- |c|)/4; each sign change of h' on a dense grid brackets
+    # a stationary angle, which must appear among the returned pairs
+    rng = np.random.default_rng(31)
+    t = np.linspace(-np.pi, np.pi, 20001)
+    v = np.stack([np.ones_like(t), np.cos(t), np.sin(t)], axis=1)
+    dv = np.stack([np.zeros_like(t), -np.sin(t), np.cos(t)], axis=1)
+    for _ in range(20):
+        m = random_symmetric(rng)
+        lam = real_correlation(m)
+        c, dc = v @ lam, dv @ lam
+        norm = np.linalg.norm(c[:, 1:], axis=1)
+        pairs = wt.numeric_separability_eigs(m, NF.REAL)
+        found = 0
+        for s in (1.0, -1.0):
+            h = (c[:, 0] + s * norm) / 4
+            dh = (dc[:, 0] + s * np.sum(c[:, 1:] * dc[:, 1:], axis=1) / norm) / 4
+            for i in np.flatnonzero(np.sign(dh[:-1]) != np.sign(dh[1:])):
+                bob = s * c[i, 1:] / norm[i]
+                assert any(
+                    abs(p.value - h[i]) < 1e-6
+                    and np.abs(p.alice.bloch[1:3] - v[i, 1:]).max() < 1e-3
+                    and np.abs(p.bob.bloch[1:3] - bob).max() < 1e-2
+                    for p in pairs
+                )
+                found += 1
+        assert found >= 4  # a maximum and a minimum of each branch
+
+
+def test_numeric_real_bounds_match_product_grid():
+    # brute force over a grid of rebit product kets, from both sides: no grid
+    # product beats the bounds, and the best ones reach them up to the grid
+    rng = np.random.default_rng(8)
+    kets = rebit_kets(np.linspace(-np.pi, np.pi, 721))
+    products = np.einsum("ai,bj->abij", kets, kets).reshape(len(kets), len(kets), 4)
+    for _ in range(5):
+        m = random_symmetric(rng)
+        lo, hi = wt.bounds(m, NF.REAL)
+        grid = np.einsum("abi,ij,abj->ab", products, m, products)
+        assert lo - 1e-12 <= grid.min() <= lo + 1e-4
+        assert hi - 1e-4 <= grid.max() <= hi + 1e-12
+
+
+@pytest.mark.parametrize(
+    "obs, expected",
+    [
+        # one party's state is free at every solution
+        (np.kron(np.eye(2), np.diag([1.0, -1.0])), (-1.0, 1.0)),
+        (np.kron(np.diag([1.0, -1.0]), np.eye(2)), (-1.0, 1.0)),
+        (np.eye(4), (1.0, 1.0)),
+        # zz + xx = cos(t - u) on the rebit circles: a continuum of maxima
+        (wt.DiagObservable(1.0, 1.0, 0.0).matrix(), (-1.0, 1.0)),
+    ],
+)
+def test_numeric_bounds_with_continua_of_solutions(obs, expected):
+    for field in (NF.REAL, NF.COMPLEX):
+        lo, hi = wt.bounds(obs, field)
+        assert lo == pytest.approx(expected[0], abs=1e-12)
+        assert hi == pytest.approx(expected[1], abs=1e-12)
+
+
+def test_bounds_general_observable_warns_nothing():
+    m = random_symmetric(np.random.default_rng(5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for field in (NF.REAL, NF.COMPLEX):
+            wt.bounds(m, field)
