@@ -24,6 +24,7 @@ from .pauli_core import (
 from .quasiprob import (
     QuasiDecomposition,
     decompose,
+    expansion_error,
     local_reconstruction,
     pstd_qubit,
     pstd_rebit,
@@ -75,6 +76,7 @@ __all__ = [
     "similarity",
     "QuasiDecomposition",
     "decompose",
+    "expansion_error",
     "local_reconstruction",
     "pstd_qubit",
     "pstd_rebit",

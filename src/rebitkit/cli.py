@@ -42,6 +42,7 @@ from .quasiprob import (
     REBIT_ALPHABET,
     QuasiDecomposition,
     decompose,
+    expansion_error,
     separability_certificate,
 )
 from .tomography import (
@@ -286,55 +287,40 @@ def run_analysis(
     The witness and the similarity are evaluated on the raw estimate (the
     witness uncertainty propagates quadratically from the entrywise
     standard deviations); decompositions require a physical state, so they
-    consume the eigenvalue-clipped repair of the estimate.  Monte-Carlo
-    sampling, when enabled, repairs every sample the same way.
+    consume the eigenvalue-clipped repair of the estimate.  Monte Carlo
+    repairs its samples the same way and spreads the similarity and the
+    closed-form ``expansion_error`` over them.
     """
     gamma = estimated.gamma
     verdict = evaluate_witness(gamma, SIGMA_YY, sigma_gamma=estimated.sigma)
     gamma_phys = repair_to_physical(gamma)
     repaired = not np.array_equal(gamma_phys, gamma)
 
-    results: dict[NumberField, tuple[QuasiDecomposition, float]] = {}
-    for fld in fields:
-        results[fld] = decompose(gamma_phys, fld)
-
-    sim_value = None
-    if target_gamma is not None:
-        sim_value = similarity(gamma, target_gamma)
-
-    # one analysis vector drives the whole Monte-Carlo pass
-    def mc_analysis(sample: np.ndarray) -> np.ndarray:
-        out = []
-        if target_gamma is not None:
-            out.append(similarity(sample, target_gamma))
-        for fld in fields:
-            dec, dist = decompose(sample, fld)
-            out.append(dist)
-            out.append(dec.residual_coeff)
-        return np.array(out)
-
+    results = {fld: decompose(gamma_phys, fld) for fld in fields}
+    sigmas = np.zeros(2 * len(fields) + (target_gamma is not None))
     mc_block = None
-    stds = np.zeros(len(fields) * 2 + (1 if target_gamma is not None else 0))
-    if mc_samples >= 2 and estimated.sigma.max() > 0.0:
-        _, stds = monte_carlo_propagate(estimated, mc_samples, mc_seed, mc_analysis)
+    if mc_samples and estimated.sigma.max() > 0.0:
+        # columns: distance and residual per field, then the similarity
+        def mc_outputs(samples: np.ndarray) -> np.ndarray:
+            columns = [c for fld in fields for c in expansion_error(samples, fld)]
+            if target_gamma is not None:
+                columns.append(similarity(samples, target_gamma))
+            return np.stack(columns, axis=-1)
+
+        _, sigmas = monte_carlo_propagate(estimated, mc_samples, mc_seed, mc_outputs)
         mc_block = {"samples": mc_samples, "seed": mc_seed}
 
-    pos = 0
     similarity_block = None
     if target_gamma is not None:
         similarity_block = {
             "target": provenance.get("target", ""),
-            "value": _round9(sim_value),
-            "sigma": _round9(stds[pos]),
+            "value": _round9(similarity(gamma, target_gamma)),
+            "sigma": _round9(sigmas[-1]),
         }
-        pos += 1
-    decomposition_blocks: dict[NumberField, dict] = {}
-    for fld in fields:
-        dec, dist = results[fld]
-        decomposition_blocks[fld] = _decomposition_block(
-            dec, dist, distance_sigma=stds[pos], residual_sigma=stds[pos + 1]
-        )
-        pos += 2
+    decomposition_blocks = {
+        fld: _decomposition_block(dec, dist, *sigmas[2 * i:2 * i + 2])
+        for i, (fld, (dec, dist)) in enumerate(results.items())
+    }
 
     extra_blocks = []
     for obs in extra_observables or []:
@@ -398,10 +384,12 @@ def _parse_fields(text: str) -> list[NumberField]:
 
 
 def _parse_observable(text: str) -> DiagObservable:
-    parts = [p.strip() for p in text.split(",")]
+    parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"observable needs three coefficients lz,lx,ly, got {text!r}")
-    return DiagObservable(*(float(p) for p in parts))
+    # named like spec parameters, so the same checks and diagnostics apply
+    named = ",".join(f"{key}={value}" for key, value in zip(("lz", "lx", "ly"), parts))
+    return DiagObservable(**_parse_params(named, text))
 
 
 def _default_seed() -> int:
@@ -462,9 +450,11 @@ def _report_summary(report: ReportDocument) -> str:
 def cmd_characterize(args: argparse.Namespace) -> int:
     """``analyze`` a counts file or run ``exact`` on a state spec."""
     if args.command == "analyze":
+        mc_samples = args.mc_samples
+        if mc_samples < 0 or mc_samples == 1:
+            raise ValueError(f"--mc-samples must be 0 (none) or at least 2, got {mc_samples}")
         estimated = estimate_correlations(read_counts(args.counts))
         source = {"counts_path": args.counts}
-        mc_samples = args.mc_samples
         mc_seed = args.seed if args.seed is not None else _default_seed()
     else:
         estimated = EstimatedState(gamma=parse_state_spec(args.state), sigma=np.zeros((4, 4)))

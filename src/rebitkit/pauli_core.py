@@ -3,7 +3,8 @@
 The canonical state representation throughout the package is the 4x4 real
 correlation matrix ``gamma`` with entries ``gamma[mu, nu] = <sigma_mu (x)
 sigma_nu>`` indexed in the fixed order ``(0, z, x, y)``.  Density matrices
-are derived on demand.
+are derived on demand.  The conversions, inner products and distances
+below also take stacks with shape (..., 4, 4), one result per matrix.
 
 Conventions
 -----------
@@ -80,17 +81,18 @@ def polarization_state(label: str) -> LocalState:
 
 def check_correlation(g: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     g = np.asarray(g, dtype=float)
-    if g.shape != (4, 4):
+    if g.shape[-2:] != (4, 4):
         raise ValueError(f"correlation matrix must be 4x4, got {g.shape}")
-    if abs(g[0, 0] - 1.0) > tol:
-        raise ValueError(f"correlation matrix not normalized: gamma[0,0] = {g[0, 0]!r}")
+    bad = np.abs(g[..., 0, 0] - 1.0) > tol
+    if bad.any():
+        raise ValueError(f"correlation matrix not normalized: gamma[0,0] = {g[..., 0, 0][bad][0]!r}")
     return g
 
 
 def density_from_correlation(g: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Reassemble the density matrix (1/4) sum_{mu,nu} gamma[mu,nu] sigma_mu (x) sigma_nu."""
     g = check_correlation(g, tol)
-    return np.einsum("mn,mnij->ij", g, KRON) / 4.0
+    return np.einsum("...mn,mnij->...ij", g, KRON) / 4.0
 
 
 def correlation_from_density(rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -100,15 +102,15 @@ def correlation_from_density(rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.nd
     residue above 1e-10 raises rather than being dropped silently.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got {rho.shape}")
-    herm_err = np.abs(rho - rho.conj().T).max()
+    herm_err = np.abs(rho - rho.conj().swapaxes(-1, -2)).max()
     if herm_err > tol:
         raise ValueError(f"density matrix not Hermitian (max deviation {herm_err:.3e})")
-    trace_err = abs(np.trace(rho) - 1.0)
+    trace_err = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max()
     if trace_err > tol:
         raise ValueError(f"density matrix trace deviates from 1 by {trace_err:.3e}")
-    gamma = np.einsum("ij,mnji->mn", rho, KRON)
+    gamma = np.einsum("...ij,mnji->...mn", rho, KRON)
     imag = np.abs(gamma.imag).max()
     if imag > 1e-10:
         raise ValueError(f"correlations carry imaginary residue {imag:.3e}")
@@ -122,22 +124,22 @@ def cfr_state(q: float) -> np.ndarray:
     return np.diag([1.0, 0.0, 0.0, 2.0 * q - 1.0])
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> float:
+def hs_inner(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Hilbert-Schmidt inner product tr(rho_a rho_b) = (1/4) sum a*b."""
-    return float(np.sum(np.asarray(a, float) * np.asarray(b, float)) / 4.0)
+    return np.sum(np.asarray(a, float) * np.asarray(b, float), axis=(-2, -1)) / 4.0
 
 
-def hs_distance(a: np.ndarray, b: np.ndarray) -> float:
+def hs_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Hilbert-Schmidt distance sqrt(tr[(rho_a - rho_b)^2])."""
     d = np.asarray(a, float) - np.asarray(b, float)
-    return float(np.sqrt(max(hs_inner(d, d), 0.0)))
+    return np.sqrt(np.maximum(hs_inner(d, d), 0.0))
 
 
-def similarity(a: np.ndarray, b: np.ndarray) -> float:
+def similarity(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Pearson-style overlap tr(ab) / sqrt(tr(a^2) tr(b^2)); 1 iff proportional."""
     na = hs_inner(a, a)
     nb = hs_inner(b, b)
-    if na < 1e-30 or nb < 1e-30:
+    if (na < 1e-30).any() or (nb < 1e-30).any():
         raise ValueError("similarity undefined for a vanishing state")
     return hs_inner(a, b) / np.sqrt(na * nb)
 

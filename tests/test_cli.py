@@ -275,3 +275,45 @@ def test_extra_observable_block(tmp_path):
     # Bell state reaches lz + lx = 2, beyond both separable bounds
     assert extra["expectation"] == pytest.approx(2.0)
     assert extra["r_entangled"] is True and extra["c_entangled"] is True
+
+
+@pytest.mark.parametrize("samples, rc", [(-3, 2), (1, 2), (0, 0), (2, 0)])
+def test_analyze_mc_samples_zero_or_at_least_two(tmp_path, capsys, samples, rc):
+    counts = tmp_path / "c.txt"
+    cli.main(["simulate", "--state", "cfr:q=1,v=0.9", "--events", "2000",
+              "--seed", "2", "--out", str(counts)])
+    out = tmp_path / "r.json"
+    assert cli.main(["analyze", "--counts", str(counts), "--mc-samples", str(samples),
+                     "--seed", "1", "--out", str(out)]) == rc
+    if rc == 2:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--mc-samples must be 0" in err
+        assert not out.exists()
+    else:
+        doc = cli.read_report(str(out))
+        expected = {"samples": samples, "seed": 1} if samples else None
+        assert doc["monte_carlo"] == expected
+
+
+@pytest.mark.parametrize("observable", ["nan,0,1", "1,inf,0", "1,0,-inf"])
+def test_observable_rejects_non_finite(tmp_path, capsys, observable):
+    out = tmp_path / "r.json"
+    rc = cli.main(["exact", "--state", "cfr:q=1", "--observable", observable, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"in {observable!r} must be finite" in err
+    assert not out.exists()
+
+
+def test_analyze_complex_distance_sigma_is_exactly_zero(tmp_path):
+    counts = tmp_path / "c.txt"
+    cli.main(["simulate", "--state", "mix:RR=0.495,LL=0.495,mixed=0.01", "--events", "300",
+              "--seed", "5", "--out", str(counts)])
+    out = tmp_path / "r.json"
+    assert cli.main(["analyze", "--counts", str(counts), "--mc-samples", "150",
+                     "--seed", "4", "--out", str(out)]) == 0
+    blocks = cli.read_report(str(out))["decompositions"]
+    assert blocks["complex"]["distance_sigma"] == 0.0
+    assert blocks["complex"]["residual_sigma"] == 0.0
+    assert blocks["real"]["distance_sigma"] > 0.0
+    assert blocks["real"]["residual_sigma"] > 0.0

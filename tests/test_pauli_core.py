@@ -181,3 +181,43 @@ def test_roundtrip_random_physical_states():
         np.testing.assert_allclose(
             pc.correlation_from_density(pc.density_from_correlation(g)), g, atol=1e-12
         )
+
+
+def test_stacked_algebra_matches_single_calls():
+    rng = np.random.default_rng(4)
+    stack = np.stack([random_full_rank_gamma(rng) for _ in range(12)]).reshape(3, 4, 4, 4)
+    other = np.stack([random_full_rank_gamma(rng) for _ in range(12)]).reshape(3, 4, 4, 4)
+    rho = pc.density_from_correlation(stack)
+    assert rho.shape == (3, 4, 4, 4)
+    back = pc.correlation_from_density(rho)
+    for idx in np.ndindex(3, 4):
+        np.testing.assert_array_equal(rho[idx], pc.density_from_correlation(stack[idx]))
+        np.testing.assert_array_equal(back[idx], pc.correlation_from_density(rho[idx]))
+        for fn in (pc.hs_inner, pc.hs_distance, pc.similarity):
+            assert fn(stack, other)[idx] == fn(stack[idx], other[idx])
+            assert fn(stack, other[0, 0])[idx] == fn(stack[idx], other[0, 0])
+
+
+def test_stacked_checks_catch_one_bad_matrix():
+    good = np.eye(4, dtype=complex) / 4
+
+    def stack_with(bad):
+        return np.stack([good, bad, good])
+
+    non_hermitian = good.copy()
+    non_hermitian[0, 1] = 0.1
+    with pytest.raises(ValueError, match="Hermitian"):
+        pc.correlation_from_density(stack_with(non_hermitian))
+    with pytest.raises(ValueError, match="trace deviates"):
+        pc.correlation_from_density(stack_with(good * 1.1))
+    residue = good.copy()
+    residue[0, 1] = 5e-10
+    with pytest.raises(ValueError, match="imaginary residue"):
+        pc.correlation_from_density(stack_with(residue))
+    gammas = np.stack([np.diag([1.0, 0, 0, 0]), np.diag([0.9, 0, 0, 0])])
+    with pytest.raises(ValueError, match=r"not normalized: gamma\[0,0\] = \S*0\.9"):
+        pc.density_from_correlation(gammas)
+    with pytest.raises(ValueError, match="must be 4x4"):
+        pc.density_from_correlation(np.eye(3))
+    with pytest.raises(ValueError, match="vanishing state"):
+        pc.similarity(np.stack([gammas[0], np.zeros((4, 4))]), gammas[0])

@@ -248,3 +248,33 @@ def test_certificate_tolerates_tiny_negativity():
     )
     assert qp.separability_certificate(d, tol=1e-9)
     assert not qp.separability_certificate(d, tol=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_expansion_error_matches_decompose(seed):
+    # decompose is the reference for the closed forms
+    g = random_full_rank_gamma(np.random.default_rng(seed))
+    dec, dist = qp.decompose(g, NF.REAL)
+    closed_dist, closed_res = qp.expansion_error(g, NF.REAL)
+    assert closed_dist == pytest.approx(dist, abs=1e-12)
+    assert closed_res == pytest.approx(dec.residual_coeff, abs=1e-12)
+    _, dist_c = qp.decompose(g, NF.COMPLEX)
+    assert dist_c < 1e-9
+    assert qp.expansion_error(g, NF.COMPLEX) == (0.0, 0.0)
+
+
+def test_expansion_error_stack_matches_single_calls():
+    rng = np.random.default_rng(12)
+    stack = np.stack([random_full_rank_gamma(rng) for _ in range(25)])
+    for field in NF:
+        dist, res = qp.expansion_error(stack, field)
+        assert dist.shape == res.shape == (25,)
+        singles = [qp.expansion_error(g, field) for g in stack]
+        np.testing.assert_array_equal(dist, [d for d, _ in singles])
+        np.testing.assert_array_equal(res, [r for _, r in singles])
+
+
+def test_expansion_error_rejects_unnormalized():
+    with pytest.raises(ValueError, match="not normalized"):
+        qp.expansion_error(np.diag([0.5, 0, 0, 0]), NF.REAL)

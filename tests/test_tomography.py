@@ -163,7 +163,7 @@ def test_repair_clips_and_bounds_yy():
 
 def test_monte_carlo_zero_sigma():
     est = tm.EstimatedState(gamma=pc.cfr_state(1.0), sigma=np.zeros((4, 4)))
-    means, stds = tm.monte_carlo_propagate(est, 50, 0, lambda g: np.array([g[3, 3]]))
+    means, stds = tm.monte_carlo_propagate(est, 50, 0, lambda g: g[:, 3, 3:4])
     assert means[0] == pytest.approx(1.0, abs=1e-12)
     assert stds[0] == 0.0
 
@@ -172,7 +172,7 @@ def test_monte_carlo_witness_sigma_passthrough():
     sigma = np.zeros((4, 4))
     sigma[3, 3] = 0.0006
     est = tm.EstimatedState(gamma=np.diag([1.0, 0, 0, 0.9634]), sigma=sigma)
-    means, stds = tm.monte_carlo_propagate(est, 4_000, 1, lambda g: np.array([g[3, 3]]))
+    means, stds = tm.monte_carlo_propagate(est, 4_000, 1, lambda g: g[:, 3, 3:4])
     assert means[0] == pytest.approx(0.9634, abs=1e-4)
     assert stds[0] == pytest.approx(0.0006, rel=0.1)
 
@@ -181,8 +181,8 @@ def test_monte_carlo_deterministic():
     sigma = np.full((4, 4), 0.01)
     sigma[0, 0] = 0.0
     est = tm.EstimatedState(gamma=pc.cfr_state(0.8), sigma=sigma)
-    out1 = tm.monte_carlo_propagate(est, 200, 7, lambda g: np.array([g[3, 3], g[1, 1]]))
-    out2 = tm.monte_carlo_propagate(est, 200, 7, lambda g: np.array([g[3, 3], g[1, 1]]))
+    out1 = tm.monte_carlo_propagate(est, 200, 7, lambda g: g[:, [3, 1], [3, 1]])
+    out2 = tm.monte_carlo_propagate(est, 200, 7, lambda g: g[:, [3, 1], [3, 1]])
     np.testing.assert_array_equal(out1[0], out2[0])
     np.testing.assert_array_equal(out1[1], out2[1])
 
@@ -192,53 +192,84 @@ def test_monte_carlo_shrinks_with_events():
     stds = []
     for n in (50_000, 100_000):
         est = tm.estimate_correlations(tm.simulate_counts(g, n, seed=2))
-        _, s = tm.monte_carlo_propagate(est, 600, 5, lambda g: np.array([g[3, 3]]))
+        _, s = tm.monte_carlo_propagate(est, 600, 5, lambda g: g[:, 3, 3:4])
         stds.append(s[0])
     assert stds[1] / stds[0] == pytest.approx(1 / np.sqrt(2), rel=0.25)
 
 
-def test_monte_carlo_failure_abort():
+def test_monte_carlo_analysis_error_propagates():
+    # no failure budget: the first exception of the analysis reaches the caller
     sigma = np.full((4, 4), 0.05)
     sigma[0, 0] = 0.0
     est = tm.EstimatedState(gamma=pc.cfr_state(0.5), sigma=sigma)
+    boom = KeyError("boom")
 
-    def flaky(_g):
-        raise RuntimeError("boom")
+    def analysis(_g):
+        raise boom
 
-    with pytest.raises(RuntimeError, match="failed"):
-        tm.monte_carlo_propagate(est, 100, 3, flaky)
+    with pytest.raises(KeyError) as info:
+        tm.monte_carlo_propagate(est, 100, 3, analysis)
+    assert info.value is boom
 
 
-def test_monte_carlo_rare_failures_warned():
-    sigma = np.zeros((4, 4))
-    est = tm.EstimatedState(gamma=pc.cfr_state(0.5), sigma=sigma)
-    calls = {"n": 0}
-
-    def sometimes(_g):
-        calls["n"] += 1
-        if calls["n"] % 40 == 0:
-            raise RuntimeError("hiccup")
-        return np.array([1.0])
-
-    with pytest.warns(RuntimeWarning, match="failed on"):
-        means, stds = tm.monte_carlo_propagate(est, 100, 3, sometimes)
-    assert means[0] == 1.0
+def test_monte_carlo_rejects_unbatched_analysis():
+    est = tm.EstimatedState(gamma=pc.cfr_state(0.5), sigma=np.zeros((4, 4)))
+    with pytest.raises(ValueError, match=r"shape \(20, k\)"):
+        tm.monte_carlo_propagate(est, 20, 0, lambda g: g[0, 3, 3:4])
 
 
 def test_monte_carlo_requires_two_samples():
     est = tm.EstimatedState(gamma=pc.cfr_state(0.5), sigma=np.zeros((4, 4)))
     with pytest.raises(ValueError):
-        tm.monte_carlo_propagate(est, 1, 0, lambda g: np.array([0.0]))
+        tm.monte_carlo_propagate(est, 1, 0, lambda g: np.zeros((len(g), 1)))
 
 
 def test_monte_carlo_samples_stay_physical():
     sigma = np.full((4, 4), 0.02)
     sigma[0, 0] = 0.0
     est = tm.EstimatedState(gamma=pc.cfr_state(1.0), sigma=sigma)
+    seen = []
 
     def check(g):
-        assert pc.is_physical(g, 1e-9)
-        assert abs(g[3, 3]) <= 1.0 + 1e-12
-        return np.array([0.0])
+        seen.append(g.shape)
+        assert all(pc.is_physical(x, 1e-9) for x in g)
+        assert np.abs(g[:, 3, 3]).max() <= 1.0 + 1e-12
+        return np.zeros((len(g), 1))
 
     tm.monte_carlo_propagate(est, 300, 11, check)
+    assert seen == [(300, 4, 4)]
+
+
+def test_monte_carlo_streams_match_per_sample_loop():
+    # the batched draw and repair equal the per-sample reference bit for bit
+    sigma = np.full((4, 4), 0.03)
+    sigma[0, 0] = 0.0
+    est = tm.EstimatedState(gamma=pc.cfr_state(0.98), sigma=sigma)
+    n = 40
+    means, _ = tm.monte_carlo_propagate(est, n, 17, lambda g: g.reshape(len(g), 16))
+    reference, repaired = [], 0
+    for child in np.random.SeedSequence(17).spawn(n):
+        sample = est.gamma + est.sigma * np.random.default_rng(child).standard_normal((4, 4))
+        sample[0, 0] = 1.0
+        reference.append(tm.repair_to_physical(sample).reshape(16))
+        repaired += not np.array_equal(reference[-1], sample.reshape(16))
+    np.testing.assert_array_equal(means, np.stack(reference).mean(axis=0))
+    assert 0 < repaired < n  # both branches of the repair ran
+
+
+def test_repair_stack_matches_single_calls():
+    rng = np.random.default_rng(8)
+    physical = [random_full_rank_gamma(rng) for _ in range(5)]
+    clipped = [np.diag([1.0, 0, 0, 1.04]), np.diag([1.0, 0.7, 0.7, 0.7])]
+    for g in physical[:3]:
+        noisy = g + rng.normal(scale=0.3, size=(4, 4))
+        noisy[0, 0] = 1.0
+        clipped.append(noisy)
+    stack = np.stack(physical + clipped)
+    rng.shuffle(stack)
+    assert 0 < sum(not pc.is_physical(g, 0.0) for g in stack) < len(stack)
+    batched = tm.repair_to_physical(stack)
+    np.testing.assert_array_equal(batched, np.stack([tm.repair_to_physical(g) for g in stack]))
+    # leading axes beyond one batch the same way
+    np.testing.assert_array_equal(tm.repair_to_physical(stack.reshape(2, 5, 4, 4)),
+                                  batched.reshape(2, 5, 4, 4))
