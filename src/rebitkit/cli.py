@@ -123,6 +123,11 @@ def _mix_components(rest: str, spec: str) -> list[tuple[np.ndarray, float]]:
     return components
 
 
+def _mix_gamma(components: list[tuple[np.ndarray, float]]) -> np.ndarray:
+    total = sum(w for _, w in components)
+    return sum(g * (w / total) for g, w in components)
+
+
 def parse_state_spec(spec: str) -> np.ndarray:
     """Correlation matrix for a state spec string."""
     kind, _, rest = spec.partition(":")
@@ -146,9 +151,7 @@ def parse_state_spec(spec: str) -> np.ndarray:
         except KeyError:
             raise ValueError(f"unknown Bell state {rest!r}") from None
     if kind == "mix":
-        components = _mix_components(rest, spec)
-        total = sum(w for _, w in components)
-        return sum(g * (w / total) for g, w in components)
+        return _mix_gamma(_mix_components(rest, spec))
     if kind == "gamma":
         gamma = np.loadtxt(rest)
         return check_correlation(gamma)
@@ -258,8 +261,10 @@ def _decomposition_block(
     alice_states: dict[str, list[float]] = {}
     bob_states: dict[str, list[float]] = {}
     for alice, bob, _ in d.entries:
-        alice_states.setdefault(alice.label, _round9_vector(alice.bloch))
-        bob_states.setdefault(bob.label, _round9_vector(bob.bloch))
+        if alice.label not in alice_states:
+            alice_states[alice.label] = _round9_vector(alice.bloch)
+        if bob.label not in bob_states:
+            bob_states[bob.label] = _round9_vector(bob.bloch)
     return {
         "alphabet": list(alphabet),
         "weights": _round9_matrix(table),
@@ -404,16 +409,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     spec = args.state
     events = args.events
     seed = args.seed if args.seed is not None else _default_seed()
-    gamma = parse_state_spec(spec)
     kind, _, rest = spec.partition(":")
     if kind.strip().lower() == "mix":
         # classical mixture: simulate each component, then combine datasets
+        components = _mix_components(rest, spec)
+        gamma = _mix_gamma(components)
         parts = [
             (simulate_counts(g, events, seed=seed + i), w)
-            for i, (g, w) in enumerate(_mix_components(rest, spec))
+            for i, (g, w) in enumerate(components)
         ]
         dataset = mix_datasets(parts)
     else:
+        gamma = parse_state_spec(spec)
         dataset = simulate_counts(gamma, events, seed=seed)
     meta = {
         "state": spec,

@@ -83,6 +83,13 @@ def check_correlation(g: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.shape[-2:] != (4, 4):
         raise ValueError(f"correlation matrix must be 4x4, got {g.shape}")
+    finite = np.isfinite(g)
+    if not finite.all():
+        idx = tuple(np.argwhere(~finite)[0])
+        i, j = idx[-2:]
+        raise ValueError(
+            f"correlation matrix has a non-finite entry: gamma[{i},{j}] = {float(g[idx])!r}"
+        )
     bad = np.abs(g[..., 0, 0] - 1.0) > tol
     if bad.any():
         raise ValueError(f"correlation matrix not normalized: gamma[0,0] = {g[..., 0, 0][bad][0]!r}")

@@ -116,30 +116,27 @@ def transform_quasi(p_std: np.ndarray, maps: LocalMapPair) -> QuasiDecomposition
     else:
         raise ValueError(f"weight table must be 4x4 or 6x6, got {p_std.shape}")
 
-    a_inv_bloch = {}
-    b_inv_bloch = {}
-    for lab in alphabet:
-        a_inv_bloch[lab] = np.linalg.solve(maps.a_map, POLARIZATION_BLOCH[lab])
-        b_inv_bloch[lab] = np.linalg.solve(maps.b_map, POLARIZATION_BLOCH[lab])
-
-    entries = []
-    total = 0.0
-    for i, la in enumerate(alphabet):
-        va = a_inv_bloch[la]
-        if abs(va[0]) < 1e-12:
-            raise ValueError(f"local map annihilates basis state {la!r} on Alice's side")
-        for j, lb in enumerate(alphabet):
-            vb = b_inv_bloch[lb]
-            if abs(vb[0]) < 1e-12:
-                raise ValueError(f"local map annihilates basis state {lb!r} on Bob's side")
-            weight = p_std[i, j] * va[0] * vb[0]
-            total += weight
-            entries.append(
-                (LocalState(va / va[0], la), LocalState(vb / vb[0], lb), weight)
-            )
+    columns = np.stack([POLARIZATION_BLOCH[lab] for lab in alphabet], axis=1)
+    pulled = []
+    for side, m in (("Alice", maps.a_map), ("Bob", maps.b_map)):
+        v = np.linalg.solve(m, columns)
+        small = np.abs(v[0]) < 1e-12
+        if small.any():
+            lab = alphabet[int(np.argmax(small))]
+            raise ValueError(f"local map annihilates basis state {lab!r} on {side}'s side")
+        pulled.append(v)
+    va, vb = pulled
+    weights = p_std * va[0][:, None] * vb[0][None, :]
+    total = sum(weights.ravel().tolist())  # in entry order, as local_reconstruction sums
     if abs(total) < 1e-12:
         raise ValueError("transformed weights sum to zero; cannot renormalize")
-    entries = [(a, b, w / total) for a, b, w in entries]
+    alice = [LocalState(v, lab) for v, lab in zip((va / va[0]).T.copy(), alphabet)]
+    bob = [LocalState(v, lab) for v, lab in zip((vb / vb[0]).T.copy(), alphabet)]
+    entries = [
+        (a, b, w)
+        for a, row in zip(alice, (weights / total).tolist())
+        for b, w in zip(bob, row)
+    ]
     return QuasiDecomposition(entries=entries, field=maps.field)
 
 
@@ -148,10 +145,10 @@ def local_reconstruction(d: QuasiDecomposition) -> np.ndarray:
     total = sum(w for _, _, w in d.entries)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"weights sum to {total!r}, expected 1")
-    out = np.zeros((4, 4))
-    for alice, bob, weight in d.entries:
-        out += weight * np.outer(alice.bloch, bob.bloch)
-    return out
+    alice = np.array([a.bloch for a, _, _ in d.entries])
+    bob = np.array([b.bloch for _, b, _ in d.entries])
+    weights = np.array([w for _, _, w in d.entries])
+    return (alice.T * weights) @ bob
 
 
 def decompose(

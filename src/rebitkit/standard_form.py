@@ -5,7 +5,10 @@ correlation matrix by invertible local operations, which do not affect
 separability.  The reduction runs in two steps:
 
 1. iterative local filtering removes both marginal Bloch vectors, i.e.
-   zeroes the first row and column of ``gamma`` except the [0, 0] entry;
+   zeroes the first row and column of ``gamma`` except the [0, 0] entry.
+   Each filter step applies (2 rho)^(-1/2) for the current marginal rho,
+   whose Bloch map is a closed form: a Lorentz boost by minus the
+   marginal Bloch vector, scaled by (1 - |r|^2)^(-1/2);
 2. a signed singular value decomposition of the remaining 3x3 correlation
    block diagonalizes it with proper rotations on both sides.
 
@@ -20,22 +23,20 @@ the identity on the y component.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .pauli_core import (
     IDX_Y,
-    PAULI,
-    SIGMA_0,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     NumberField,
     check_correlation,
     is_physical,
     real_projection,
 )
+
+_EYE3 = np.eye(3)
 
 
 class SingularMarginal(ValueError):
@@ -67,26 +68,26 @@ class StandardFormResult:
     residual_offdiag: float
 
 
-def _bloch_map(op: np.ndarray) -> np.ndarray:
-    """4x4 Bloch representation of X -> op X op^dag."""
-    return 0.5 * np.real(np.einsum("mab,bc,ncd,da->mn", PAULI, op, PAULI, op.conj().T))
+def _filter_map(bloch3: np.ndarray, rank_tol: float) -> np.ndarray:
+    """Bloch map of the filter (2 rho)^(-1/2) for a marginal with Bloch vector r.
 
-
-def _marginal_filter(bloch3: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Filter (2 rho)^(-1/2) for the marginal with Bloch vector bloch3.
-
-    This choice preserves the trace up to rounding, keeping the running
-    normalization corrections tiny.
+    The map is g times the Lorentz boost by -r, with g = (1 - |r|^2)^(-1/2):
+    M00 = g^2, M0i = Mi0 = -g^2 r_i, Mij = g delta_ij + g^3/(g+1) r_i r_j.
+    It sends (1, r) to (1, 0), so the trace is preserved up to rounding and
+    the running normalization corrections stay tiny.
     """
-    rho = 0.5 * (
-        SIGMA_0 + bloch3[0] * SIGMA_Z + bloch3[1] * SIGMA_X + bloch3[2] * SIGMA_Y
-    )
-    w, v = np.linalg.eigh(rho)
-    if w.min() <= rank_tol:
+    r2 = float(bloch3 @ bloch3)
+    smallest = 0.5 * (1.0 - math.sqrt(r2))
+    if smallest <= rank_tol:
         raise SingularMarginal(
-            f"marginal eigenvalue {w.min():.3e} below rank tolerance {rank_tol:.1e}"
+            f"marginal eigenvalue {smallest:.3e} below rank tolerance {rank_tol:.1e}"
         )
-    return (v * (2.0 * w) ** -0.5) @ v.conj().T
+    g = 1.0 / math.sqrt(1.0 - r2)
+    m = np.empty((4, 4))
+    m[0, 0] = g * g
+    m[0, 1:] = m[1:, 0] = -g * g * bloch3
+    m[1:, 1:] = (g**3 / (g + 1.0)) * (bloch3[:, None] * bloch3) + g * _EYE3
+    return m
 
 
 def _force_rebit_structure(m: np.ndarray) -> np.ndarray:
@@ -217,7 +218,7 @@ def to_standard_form(
             converged = True
             break
         if mag_a >= bloch_tol:
-            m = _bloch_map(_marginal_filter(gamma[1:, 0], rank_tol))
+            m = _filter_map(gamma[1:, 0], rank_tol)
             if rebit:
                 m = _force_rebit_structure(m)
             gamma = m @ gamma
@@ -225,7 +226,7 @@ def to_standard_form(
             _renormalize(gamma, a_total, rebit)
         mag_b = np.abs(gamma[0, 1:]).max()
         if mag_b >= bloch_tol:
-            m = _bloch_map(_marginal_filter(gamma[0, 1:], rank_tol))
+            m = _filter_map(gamma[0, 1:], rank_tol)
             if rebit:
                 m = _force_rebit_structure(m)
             gamma = gamma @ m.T

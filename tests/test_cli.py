@@ -317,3 +317,17 @@ def test_analyze_complex_distance_sigma_is_exactly_zero(tmp_path):
     assert blocks["complex"]["residual_sigma"] == 0.0
     assert blocks["real"]["distance_sigma"] > 0.0
     assert blocks["real"]["residual_sigma"] > 0.0
+
+
+@pytest.mark.parametrize("entry", [(1, 1), (0, 0)])
+def test_exact_rejects_non_finite_gamma_entry(tmp_path, capsys, entry):
+    gamma = np.diag([1.0, 0.2, 0.1, -0.3])
+    gamma[entry] = np.nan
+    path = tmp_path / "gamma.txt"
+    np.savetxt(path, gamma)
+    out = tmp_path / "r.json"
+    assert cli.main(["exact", "--state", f"gamma:{path}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    i, j = entry
+    assert err.startswith("error: ") and f"non-finite entry: gamma[{i},{j}] = nan" in err
+    assert not out.exists()

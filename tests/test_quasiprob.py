@@ -278,3 +278,71 @@ def test_expansion_error_stack_matches_single_calls():
 def test_expansion_error_rejects_unnormalized():
     with pytest.raises(ValueError, match="not normalized"):
         qp.expansion_error(np.diag([0.5, 0, 0, 0]), NF.REAL)
+
+
+def reference_transform_quasi(p_std, maps, alphabet):
+    """Per-entry transport: one solve per label and side, weights summed in a loop."""
+    entries = []
+    total = 0.0
+    for i, la in enumerate(alphabet):
+        va = np.linalg.solve(maps.a_map, pc.POLARIZATION_BLOCH[la])
+        for j, lb in enumerate(alphabet):
+            vb = np.linalg.solve(maps.b_map, pc.POLARIZATION_BLOCH[lb])
+            weight = p_std[i, j] * va[0] * vb[0]
+            total += weight
+            entries.append((va / va[0], la, vb / vb[0], lb, weight))
+    return [(va, la, vb, lb, w / total) for va, la, vb, lb, w in entries]
+
+
+def reference_reconstruction(entries):
+    out = np.zeros((4, 4))
+    for va, _, vb, _, weight in entries:
+        out += weight * np.outer(va, vb)
+    return out
+
+
+def random_invertible_bloch_map(rng, rebit):
+    m = np.eye(4) + 0.3 * rng.normal(size=(4, 4))
+    if rebit:
+        m = sf._force_rebit_structure(m)
+    return m
+
+
+@pytest.mark.parametrize("field", list(NF))
+def test_batched_transport_matches_per_entry_reference(field):
+    rng = np.random.default_rng(16)
+    rebit = field is NF.REAL
+    alphabet = qp.REBIT_ALPHABET if rebit else qp.QUBIT_ALPHABET
+    pstd = qp.pstd_rebit if rebit else qp.pstd_qubit
+    for _ in range(30):
+        maps = sf.LocalMapPair(
+            random_invertible_bloch_map(rng, rebit), random_invertible_bloch_map(rng, rebit), field
+        )
+        p = pstd(random_standard_form_gamma(rng))
+        d = qp.transform_quasi(p, maps)
+        ref = reference_transform_quasi(p, maps, alphabet)
+        assert len(d.entries) == len(ref) == len(alphabet) ** 2
+        for (alice, bob, w), (va, la, vb, lb, w_ref) in zip(d.entries, ref):
+            assert (alice.label, bob.label) == (la, lb)
+            np.testing.assert_allclose(alice.bloch, va, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(bob.bloch, vb, rtol=1e-12, atol=1e-12)
+            assert w == pytest.approx(w_ref, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(
+            qp.local_reconstruction(d), reference_reconstruction(ref), rtol=1e-12, atol=1e-12
+        )
+
+
+def test_transform_annihilation_error_names_label_and_side():
+    b_map = np.eye(4)
+    b_map[0, 2] = -1.0  # inverse maps A = (1, 0, -1, 0) -> (0, ...)
+    maps = sf.LocalMapPair(np.eye(4), b_map, NF.REAL)
+    p = qp.pstd_rebit(np.diag([1.0, 0, 0, 0]))
+    with pytest.raises(ValueError, match="basis state 'A' on Bob's side"):
+        qp.transform_quasi(p, maps)
+
+
+def test_local_reconstruction_rejects_unnormalized_weights():
+    h = pc.polarization_state("H")
+    d = qp.QuasiDecomposition(entries=[(h, h, 0.5), (h, h, 0.4)], field=NF.REAL)
+    with pytest.raises(ValueError, match="expected 1"):
+        qp.local_reconstruction(d)

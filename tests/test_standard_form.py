@@ -140,3 +140,55 @@ def test_apply_local_maps_rejects_singular():
     maps = sf.LocalMapPair(np.diag([1.0, 1, 1, 0]), np.eye(4), NF.COMPLEX)
     with pytest.raises(ValueError, match="invertible"):
         sf.apply_local_maps(pc.cfr_state(1.0), maps)
+
+
+def reference_filter_map(bloch3, rank_tol):
+    """Bloch map of (2 rho)^(-1/2) built from eigh and the Pauli traces."""
+    rho = 0.5 * (
+        pc.SIGMA_0 + bloch3[0] * pc.SIGMA_Z + bloch3[1] * pc.SIGMA_X + bloch3[2] * pc.SIGMA_Y
+    )
+    w, v = np.linalg.eigh(rho)
+    if w.min() <= rank_tol:
+        raise sf.SingularMarginal(
+            f"marginal eigenvalue {w.min():.3e} below rank tolerance {rank_tol:.1e}"
+        )
+    op = (v * (2.0 * w) ** -0.5) @ v.conj().T
+    return 0.5 * np.real(np.einsum("mab,bc,ncd,da->mn", pc.PAULI, op, pc.PAULI, op.conj().T))
+
+
+def random_bloch3(rng, magnitude):
+    direction = rng.normal(size=3)
+    return magnitude * direction / np.linalg.norm(direction)
+
+
+def test_closed_form_filter_matches_eigh_reference():
+    rng = np.random.default_rng(48)
+    for magnitude in np.geomspace(1e-11, 0.999, 200):
+        r = random_bloch3(rng, magnitude)
+        m = sf._filter_map(r, 1e-6)
+        ref = reference_filter_map(r, 1e-6)
+        assert np.abs(m - ref).max() <= 1e-12 * np.abs(ref).max()
+        # the filter removes the marginal it was built from
+        np.testing.assert_allclose(m @ np.r_[1.0, r], [1.0, 0.0, 0.0, 0.0], atol=1e-10)
+
+
+def test_closed_form_filter_singular_threshold():
+    rng = np.random.default_rng(49)
+    rank_tol = 1e-6
+    # smallest marginal eigenvalue (1 - |r|)/2 just above, at and below the tolerance,
+    # then unphysical marginals with |r| > 1
+    for smallest in (1.001 * rank_tol, 0.999 * rank_tol, 0.0, -1e-3, -0.8):
+        r = random_bloch3(rng, 1.0 - 2.0 * smallest)
+        try:
+            ref = reference_filter_map(r, rank_tol)
+        except sf.SingularMarginal as exc:
+            with pytest.raises(sf.SingularMarginal) as got:
+                sf._filter_map(r, rank_tol)
+            if smallest != 0.0:  # eigh puts round-off on an exact zero
+                assert str(got.value) == str(exc)
+        else:
+            np.testing.assert_allclose(sf._filter_map(r, rank_tol), ref, rtol=1e-9)
+    # the pure marginal of a product state
+    r = np.array([1.0, 0.0, 0.0])
+    with pytest.raises(sf.SingularMarginal, match="below rank tolerance 1.0e-06"):
+        sf._filter_map(r, rank_tol)
