@@ -33,7 +33,6 @@ from .quasiprob import (
 )
 from .standard_form import (
     LocalMapPair,
-    NonConvergence,
     SingularMarginal,
     StandardFormResult,
     apply_local_maps,
@@ -83,7 +82,6 @@ __all__ = [
     "separability_certificate",
     "transform_quasi",
     "LocalMapPair",
-    "NonConvergence",
     "SingularMarginal",
     "StandardFormResult",
     "apply_local_maps",

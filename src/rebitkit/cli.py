@@ -22,6 +22,7 @@ report for plotting.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -118,7 +119,10 @@ def _mix_components(rest: str, spec: str) -> list[tuple[np.ndarray, float]]:
         else:
             raise ValueError(f"unknown mix component {name!r} in {spec!r}")
         components.append((gamma, weight))
-    if not components or sum(w for _, w in components) <= 0:
+    total = sum(w for _, w in components)
+    if not np.isfinite(total):
+        raise ValueError(f"weights of mix spec {spec!r} overflow: their sum is {total}")
+    if total <= 0:
         raise ValueError(f"mix spec {spec!r} has no positive weight")
     return components
 
@@ -493,7 +497,9 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="rebitkit",
         description="Characterize two-level pair states over real and complex numbers.",
@@ -505,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--events", type=int, default=DEFAULT_EVENTS, help="events per setting")
     p_sim.add_argument("--seed", type=int, default=None, help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
     p_sim.add_argument("--out", required=True, help="counts file to write")
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_ana = sub.add_parser("analyze", help="characterize a counts file")
     p_ana.add_argument("--counts", required=True, help="counts file to read")
@@ -515,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument("--seed", type=int, default=None, help="Monte-Carlo seed")
     p_ana.add_argument("--observable", action="append", default=[], help="extra witness lz,lx,ly")
     p_ana.add_argument("--out", required=True, help="report file to write")
-    p_ana.set_defaults(func=cmd_characterize)
 
     p_ex = sub.add_parser("exact", help="characterize an exact state")
     p_ex.add_argument("--state", required=True, help="state spec")
@@ -523,15 +527,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--fields", "--field", default="real,complex", help="comma list of number fields")
     p_ex.add_argument("--observable", action="append", default=[], help="extra witness lz,lx,ly")
     p_ex.add_argument("--out", required=True, help="report file to write")
-    p_ex.set_defaults(func=cmd_characterize)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # resolved per call, so a rebound module name (a tracer's wrapper) is used
+    command = cmd_simulate if args.command == "simulate" else cmd_characterize
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

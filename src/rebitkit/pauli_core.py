@@ -92,7 +92,9 @@ def check_correlation(g: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         )
     bad = np.abs(g[..., 0, 0] - 1.0) > tol
     if bad.any():
-        raise ValueError(f"correlation matrix not normalized: gamma[0,0] = {g[..., 0, 0][bad][0]!r}")
+        raise ValueError(
+            f"correlation matrix not normalized: gamma[0,0] = {float(g[..., 0, 0][bad][0])!r}"
+        )
     return g
 
 

@@ -152,11 +152,7 @@ def local_reconstruction(d: QuasiDecomposition) -> np.ndarray:
 
 
 def decompose(
-    g: np.ndarray,
-    field: NumberField,
-    rank_tol: float = 1e-6,
-    bloch_tol: float = 1e-11,
-    max_iters: int = 200,
+    g: np.ndarray, field: NumberField, rank_tol: float = 1e-6
 ) -> tuple[QuasiDecomposition, float]:
     """Full quasiprobability decomposition of a physical state.
 
@@ -168,9 +164,7 @@ def decompose(
     measured against the state actually given.
     """
     g = check_correlation(g)
-    sf = to_standard_form(
-        g, field, rank_tol=rank_tol, bloch_tol=bloch_tol, max_iters=max_iters
-    )
+    sf = to_standard_form(g, field, rank_tol=rank_tol)
     if field is NumberField.REAL:
         p_std = pstd_rebit(sf.gamma_std)
     else:

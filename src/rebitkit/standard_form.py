@@ -2,22 +2,28 @@
 
 Any full-rank two-level pair state can be brought to a diagonal
 correlation matrix by invertible local operations, which do not affect
-separability.  The reduction runs in two steps:
+separability.  Such operations act on ``gamma`` as scaled proper Lorentz
+transformations, ``gamma -> A gamma B^T``, and the standard form is the
+Lorentz singular value decomposition gamma = L_A S L_B^T (Verstraete,
+Dehaene, De Moor, PRA 65, 032308 (2002)).  It is computed directly, in
+two steps:
 
-1. iterative local filtering removes both marginal Bloch vectors, i.e.
-   zeroes the first row and column of ``gamma`` except the [0, 0] entry.
-   Each filter step applies (2 rho)^(-1/2) for the current marginal rho,
-   whose Bloch map is a closed form: a Lorentz boost by minus the
-   marginal Bloch vector, scaled by (1 - |r|^2)^(-1/2);
+1. with eta = diag(1, -1, -1, -1), gamma eta gamma^T eta = L_A S^2 L_A^-1,
+   so the eigenvector x of its largest eigenvalue is the time-like first
+   column of L_A.  Alice's filter is the Bloch map of (2 rho)^(-1/2) for the
+   qubit with Bloch vector x[1:] / x[0], a closed form: the Lorentz boost
+   by minus that vector, scaled by (1 - |r|^2)^(-1/2).  In the filtered
+   frame Bob's Lorentz vector is his marginal, which his filter removes the
+   same way, and Alice's marginal vanishes with it;
 2. a signed singular value decomposition of the remaining 3x3 correlation
    block diagonalizes it with proper rotations on both sides.
 
 Local maps are stored as their 4x4 actions on Bloch vectors, composed so
 that ``gamma_std = a_map @ gamma @ b_map.T`` up to normalization, and
-``apply_local_maps`` inverts the reduction.  In the rebit variant the
-filtering acts on the (0, z, x) block only, step 2 rotates in the z-x
-plane, and the [y, y] entry is carried through verbatim, so the maps are
-the identity on the y component.
+``apply_local_maps`` inverts the reduction.  In the rebit variant step 1
+acts on the (0, z, x) block only, with eta = diag(1, -1, -1), step 2
+rotates in the z-x plane, and the [y, y] entry is carried through
+verbatim, so the maps are the identity on the y component.
 """
 
 from __future__ import annotations
@@ -37,14 +43,15 @@ from .pauli_core import (
 )
 
 _EYE3 = np.eye(3)
+_ETA = np.array([1.0, -1.0, -1.0, -1.0])
+# largest marginal Bloch entry that counts as zero, before and after filtering
+BLOCH_TOL = 1e-11
+# relative gap below which eigenvalues of gamma eta gamma^T eta count as equal
+_DEGENERATE = 1e-9
 
 
 class SingularMarginal(ValueError):
     """A marginal is rank-deficient; no invertible local filter exists."""
-
-
-class NonConvergence(RuntimeError):
-    """Marginal filtering failed to reach the requested tolerance."""
 
 
 @dataclass
@@ -68,20 +75,25 @@ class StandardFormResult:
     residual_offdiag: float
 
 
+def _check_marginal(bloch3: np.ndarray, rank_tol: float) -> float:
+    """Return |r|^2, raising ``SingularMarginal`` when (1 - |r|)/2 <= rank_tol."""
+    r2 = float(bloch3 @ bloch3)
+    smallest = 0.5 * (1.0 - math.sqrt(r2))
+    if not smallest > rank_tol:
+        raise SingularMarginal(
+            f"marginal eigenvalue {smallest:.3e} below rank tolerance {rank_tol:.1e}"
+        )
+    return r2
+
+
 def _filter_map(bloch3: np.ndarray, rank_tol: float) -> np.ndarray:
     """Bloch map of the filter (2 rho)^(-1/2) for a marginal with Bloch vector r.
 
     The map is g times the Lorentz boost by -r, with g = (1 - |r|^2)^(-1/2):
     M00 = g^2, M0i = Mi0 = -g^2 r_i, Mij = g delta_ij + g^3/(g+1) r_i r_j.
-    It sends (1, r) to (1, 0), so the trace is preserved up to rounding and
-    the running normalization corrections stay tiny.
+    It sends (1, r) to (1, 0).
     """
-    r2 = float(bloch3 @ bloch3)
-    smallest = 0.5 * (1.0 - math.sqrt(r2))
-    if smallest <= rank_tol:
-        raise SingularMarginal(
-            f"marginal eigenvalue {smallest:.3e} below rank tolerance {rank_tol:.1e}"
-        )
+    r2 = _check_marginal(bloch3, rank_tol)
     g = 1.0 / math.sqrt(1.0 - r2)
     m = np.empty((4, 4))
     m[0, 0] = g * g
@@ -98,51 +110,44 @@ def _force_rebit_structure(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _renormalize(gamma: np.ndarray, a_total: np.ndarray, rebit: bool) -> None:
-    """Divide out gamma[0, 0] in place, folding the scalar into a_total.
+def _lorentz_frame(block: np.ndarray) -> np.ndarray:
+    """Bloch vector x[1:] / x[0] of Alice's frame in the Lorentz SVD of ``block``.
 
-    Keeps ``gamma == a_total @ g @ b_total.T`` exact.  In the rebit
-    variant only the (0, z, x) rows are scaled, so the carried y channel
-    and the identity-on-y map structure stay untouched.
+    x is the time axis projected on the eigenspace of the largest eigenvalue
+    of block eta block^T eta, along the other eigenspaces: the time-like
+    first column of L_A when that eigenvalue is simple, and a time-like
+    vector of the eigenspace when it is not (a pure entangled state makes
+    it fourfold).  Eigenvalues within ``_DEGENERATE`` of the largest count
+    as equal; closer ones could not be told apart to ``BLOCH_TOL`` anyway.
+    ``block`` is gamma, or its (0, z, x) block in the rebit variant, where
+    the y entry of the Bloch vector is zero.
     """
-    s = gamma[0, 0]
-    if rebit:
-        gamma[:IDX_Y, :] /= s
-        a_total[:IDX_Y, :] /= s
-    else:
-        gamma /= s
-        a_total /= s
+    eta = _ETA[: len(block)]
+    w, v = np.linalg.eig((block * eta) @ (block.T * eta))
+    try:
+        time_axis = np.linalg.solve(v, np.eye(len(block))[0])  # in the eigenvector basis
+    except np.linalg.LinAlgError:
+        raise SingularMarginal(
+            "no diagonal standard form: gamma eta gamma^T eta is not diagonalizable"
+        ) from None
+    top = w.real >= (1.0 - _DEGENERATE) * w.real.max()
+    x = (v[:, top] @ time_axis[top]).real
+    bloch3 = np.zeros(3)
+    bloch3[: len(x) - 1] = x[1:] / x[0]
+    return bloch3
 
 
-def _aitken_jump(
-    history: list[np.ndarray], rebit: bool
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Geometric-series extrapolation of the accumulated local maps.
+def _frame_filter(bloch3: np.ndarray, rank_tol: float, rebit: bool) -> np.ndarray:
+    try:
+        m = _filter_map(bloch3, rank_tol)
+    except SingularMarginal as exc:
+        # the input marginals passed this test, so the frame itself is degenerate
+        raise SingularMarginal(f"no diagonal standard form: Lorentz frame {exc}") from None
+    return _force_rebit_structure(m) if rebit else m
 
-    The filtering iterates converge linearly; summing the estimated
-    geometric tail of the last increments jumps close to the fixed point.
-    Returns None when the increments do not look geometric or the
-    extrapolated maps degenerate.
-    """
-    if len(history) < 3:
-        return None
-    d1 = history[-2] - history[-3]
-    d2 = history[-1] - history[-2]
-    n1 = float(d1 @ d1)
-    if n1 <= 0.0:
-        return None
-    rate = float(d2 @ d1) / n1
-    if not 0.0 < rate < 0.9999:
-        return None
-    x = history[-1] + d2 * (rate / (1.0 - rate))
-    a_jump = x[:16].reshape(4, 4)
-    b_jump = x[16:].reshape(4, 4)
-    if rebit:
-        a_jump = _force_rebit_structure(a_jump)
-        b_jump = _force_rebit_structure(b_jump)
-    if abs(np.linalg.det(a_jump)) < 1e-12 or abs(np.linalg.det(b_jump)) < 1e-12:
-        return None
-    return a_jump, b_jump
+
+def _marginal_residual(gamma: np.ndarray) -> float:
+    return float(max(np.abs(gamma[1:, 0]).max(), np.abs(gamma[0, 1:]).max()))
 
 
 def _signed_svd(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -184,17 +189,15 @@ def to_standard_form(
     g: np.ndarray,
     field: NumberField,
     rank_tol: float = 1e-6,
-    bloch_tol: float = 1e-11,
-    max_iters: int = 200,
 ) -> StandardFormResult:
     """Diagonalize a physical correlation matrix by invertible local maps.
 
-    Raises ``SingularMarginal`` for rank-deficient marginals (pure product
-    inputs have no standard form under invertible maps) and
-    ``NonConvergence`` when filtering cannot push both marginal Bloch
-    vectors below ``bloch_tol`` within ``max_iters`` sweeps.  For the real
-    field the input is replaced by its real projection and the y entries
-    are carried through untouched.
+    Raises ``SingularMarginal`` for a marginal whose smaller eigenvalue is
+    at most ``rank_tol`` (pure product inputs have no standard form under
+    invertible maps), and for a state whose Lorentz normal form is not
+    diagonal: its filters are singular, or leave a marginal entry of at
+    least ``BLOCH_TOL``.  For the real field the input is replaced by its
+    real projection and the y entries are carried through untouched.
     """
     g = check_correlation(g)
     if not is_physical(g, tol=1e-8):
@@ -203,84 +206,47 @@ def to_standard_form(
     if rebit:
         g = real_projection(g)
     yy_in = g[IDX_Y, IDX_Y]
+    # size of the transformed block: (0, z, x) for rebits, all of gamma otherwise
+    k = IDX_Y if rebit else 4
+    for bloch3 in (g[1:, 0], g[0, 1:]):
+        _check_marginal(bloch3, rank_tol)
 
-    # invariant maintained exactly throughout the loop:
-    #   gamma == a_total @ g @ b_total.T
+    a_map = np.eye(4)
+    b_map = np.eye(4)
     gamma = g.copy()
-    a_total = np.eye(4)
-    b_total = np.eye(4)
-    converged = False
-    history: list[np.ndarray] = []
-    for sweep in range(max_iters):
-        mag_a = np.abs(gamma[1:, 0]).max()
-        mag_b = np.abs(gamma[0, 1:]).max()
-        if max(mag_a, mag_b) < bloch_tol:
-            converged = True
-            break
-        if mag_a >= bloch_tol:
-            m = _filter_map(gamma[1:, 0], rank_tol)
-            if rebit:
-                m = _force_rebit_structure(m)
-            gamma = m @ gamma
-            a_total = m @ a_total
-            _renormalize(gamma, a_total, rebit)
-        mag_b = np.abs(gamma[0, 1:]).max()
-        if mag_b >= bloch_tol:
-            m = _filter_map(gamma[0, 1:], rank_tol)
-            if rebit:
-                m = _force_rebit_structure(m)
-            gamma = gamma @ m.T
-            b_total = m @ b_total
-            _renormalize(gamma, a_total, rebit)
-        # near-pure states converge only geometrically; extrapolate the
-        # accumulated maps through the geometric tail every few sweeps
-        history.append(np.concatenate([a_total.ravel(), b_total.ravel()]))
-        if sweep % 6 == 5:
-            jumped = _aitken_jump(history, rebit)
-            if jumped is not None:
-                a_jump, b_jump = jumped
-                gamma_jump = a_jump @ g @ b_jump.T
-                if abs(gamma_jump[0, 0]) > 1e-12:
-                    _renormalize(gamma_jump, a_jump, rebit)
-                    res_jump = max(
-                        np.abs(gamma_jump[1:, 0]).max(), np.abs(gamma_jump[0, 1:]).max()
-                    )
-                    res_now = max(mag_a, mag_b)
-                    if res_jump < res_now:
-                        gamma, a_total, b_total = gamma_jump, a_jump, b_jump
-            history.clear()
-    if not converged:
-        residual = max(np.abs(gamma[1:, 0]).max(), np.abs(gamma[0, 1:]).max())
-        if residual >= bloch_tol:
-            raise NonConvergence(
-                f"marginal filtering stalled at residual {residual:.3e} "
-                f"after {max_iters} sweeps"
-            )
+    if _marginal_residual(g) >= BLOCH_TOL:
+        # once Alice is in her Lorentz frame, Bob's frame is his marginal
+        a_map = _frame_filter(_lorentz_frame(g[:k, :k]), rank_tol, rebit)
+        gamma = a_map @ g
+        b_map = _frame_filter(gamma[0, 1:] / gamma[0, 0], rank_tol, rebit)
+        gamma = gamma @ b_map.T
+    # divide out gamma[0, 0]; for rebits only the (0, z, x) rows, so the
+    # carried y channel and the identity-on-y maps stay untouched
+    s = gamma[0, 0]
+    gamma[:k] /= s
+    a_map[:k] /= s
+    residual = _marginal_residual(gamma)
+    if not residual < BLOCH_TOL:
+        raise SingularMarginal(
+            f"no diagonal standard form: marginal residual {residual:.3e} after filtering"
+        )
 
+    u, _, v = _signed_svd(gamma[1:k, 1:k])
     a2 = np.eye(4)
     b2 = np.eye(4)
-    if rebit:
-        u, _, v = _signed_svd(gamma[1:3, 1:3])
-        a2[1:3, 1:3] = u.T
-        b2[1:3, 1:3] = v.T
-    else:
-        u, _, v = _signed_svd(gamma[1:, 1:])
-        a2[1:, 1:] = u.T
-        b2[1:, 1:] = v.T
+    a2[1:k, 1:k] = u.T
+    b2[1:k, 1:k] = v.T
     gamma = a2 @ gamma @ b2.T
-    a_total = a2 @ a_total
-    b_total = b2 @ b_total
-    _renormalize(gamma, a_total, rebit)
-
+    a_map = a2 @ a_map
+    b_map = b2 @ b_map
     if rebit:
         # the y channel is carried, not transformed
         gamma[IDX_Y, IDX_Y] = yy_in
 
     residual_offdiag = float(np.abs(gamma - np.diag(np.diag(gamma))).max())
-    gamma_std = gamma
-    maps = LocalMapPair(a_map=a_total, b_map=b_total, field=field)
+    maps = LocalMapPair(a_map=a_map, b_map=b_map, field=field)
     maps.validate()
-    return StandardFormResult(gamma_std=gamma_std, maps=maps, residual_offdiag=residual_offdiag)
+    return StandardFormResult(gamma_std=gamma, maps=maps, residual_offdiag=residual_offdiag)
 
 
 def apply_local_maps(g_std: np.ndarray, maps: LocalMapPair) -> np.ndarray:

@@ -3,15 +3,17 @@ import numpy as np
 from rebitkit.pauli_core import correlation_from_density
 
 
-def random_full_rank_gamma(rng: np.random.Generator, w_min: float = 0.05) -> np.ndarray:
+def random_full_rank_gamma(
+    rng: np.random.Generator, w_min: float = 0.05, w_max: float = 0.95
+) -> np.ndarray:
     """Random physical correlation matrix with full-rank marginals.
 
-    Mixes a Haar-ish random pure state with at least ``w_min`` of the
-    maximally mixed state.
+    Mixes a Haar-ish random pure state with a weight between ``w_min``
+    and ``w_max`` of the maximally mixed state.
     """
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi /= np.linalg.norm(psi)
-    w = rng.uniform(w_min, 0.95)
+    w = rng.uniform(w_min, w_max)
     rho = (1 - w) * np.outer(psi, psi.conj()) + w * np.eye(4) / 4.0
     return correlation_from_density(rho)
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import random_full_rank_gamma
 from rebitkit import cli
 from rebitkit import pauli_core as pc
 from rebitkit import tomography as tm
@@ -330,4 +331,61 @@ def test_exact_rejects_non_finite_gamma_entry(tmp_path, capsys, entry):
     err = capsys.readouterr().err
     i, j = entry
     assert err.startswith("error: ") and f"non-finite entry: gamma[{i},{j}] = nan" in err
+    assert not out.exists()
+
+
+def test_exact_near_pure_states(tmp_path):
+    # white-noise weights of 0.01-0.02, where an iterated filter converges slowest
+    rng = np.random.default_rng(15)
+    out = tmp_path / "r.json"
+    for i in range(40):
+        path = tmp_path / f"gamma{i}.txt"
+        np.savetxt(path, random_full_rank_gamma(rng, w_min=0.01, w_max=0.02), fmt="%.17g")
+        assert cli.main(["exact", "--state", f"gamma:{path}", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("pair", [a + b for a in "HVDARL" for b in "HVDARL"])
+def test_exact_product_pair_has_no_standard_form(tmp_path, capsys, pair):
+    out = tmp_path / "r.json"
+    assert cli.main(["exact", "--state", f"product:{pair}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: marginal eigenvalue") and "below rank tolerance" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("events", [1000, 100_000])
+def test_analyze_bell_data(tmp_path, events):
+    # clipping leaves a rank-2 estimate whose largest Lorentz singular value is degenerate
+    counts = tmp_path / "c.txt"
+    cli.main(["simulate", "--state", "bell:phi+", "--events", str(events),
+              "--seed", "1", "--out", str(counts)])
+    out = tmp_path / "r.json"
+    assert cli.main(["analyze", "--counts", str(counts), "--mc-samples", "20",
+                     "--seed", "1", "--out", str(out)]) == 0
+    doc = cli.read_report(str(out))
+    assert doc["provenance"]["estimate_repaired"] is True
+    assert doc["decompositions"]["complex"]["certificate"] is False
+
+
+def test_main_calls_do_not_share_observables(tmp_path):
+    first = tmp_path / "a.json"
+    second = tmp_path / "b.json"
+    assert cli.main(["exact", "--state", "bell:phi+", "--observable", "1,1,0",
+                     "--out", str(first)]) == 0
+    assert cli.main(["exact", "--state", "bell:phi+", "--out", str(second)]) == 0
+    assert len(cli.read_report(str(first))["extra_witnesses"]) == 1
+    assert "extra_witnesses" not in cli.read_report(str(second))
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_exact_diagnostics_show_plain_values(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert cli.main(["exact", "--state", "mix:HH=1e308,VV=1e308", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "weights of mix spec 'mix:HH=1e308,VV=1e308' overflow: their sum is inf" in err
+    path = tmp_path / "gamma.txt"
+    np.savetxt(path, np.diag([2.0, 0.0, 0.0, 0.0]))
+    assert cli.main(["exact", "--state", f"gamma:{path}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: correlation matrix not normalized: gamma[0,0] = 2.0\n"
     assert not out.exists()

@@ -197,6 +197,36 @@ def test_complex_completeness_random_states():
         assert dist < 1e-8
 
 
+@pytest.mark.parametrize("field", [NF.REAL, NF.COMPLEX])
+def test_decompose_local_states_are_pure(field):
+    # exact Lorentz maps send pure basis states to pure states
+    rng = np.random.default_rng(13)
+    for _ in range(80):
+        d, _ = qp.decompose(random_full_rank_gamma(rng, w_min=0.01), field)
+        for alice, bob, _ in d.entries:
+            for state in (alice, bob):
+                assert state.bloch[0] == 1.0
+                assert abs(np.linalg.norm(state.bloch[1:]) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("field", [NF.REAL, NF.COMPLEX])
+def test_decompose_states_of_every_rank(field, rank):
+    # pure states make every eigenvalue of gamma eta gamma^T eta equal
+    rng = np.random.default_rng(15 + rank)
+    for _ in range(50):
+        a = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        rho = a @ a.conj().T
+        g = pc.correlation_from_density(rho / np.trace(rho).real)
+        d, dist = qp.decompose(g, field)
+        closed_dist, closed_residual = qp.expansion_error(g, field)
+        assert abs(dist - closed_dist) < 1e-9
+        assert abs(d.residual_coeff - closed_residual) < 1e-12
+        for alice, bob, _ in d.entries:
+            for state in (alice, bob):
+                assert abs(np.linalg.norm(state.bloch[1:]) - 1.0) < 1e-9
+
+
 def test_rebit_distance_identity_standard_form():
     rng = np.random.default_rng(13)
     for _ in range(40):

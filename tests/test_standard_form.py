@@ -105,18 +105,39 @@ def test_near_pure_noisy_state_converges():
         assert pc.hs_distance(back, g) < 1e-8
 
 
+def test_diagonal_matches_lorentz_invariants():
+    # |gamma_std| diagonal = Lorentz singular values sqrt(eig(gamma eta gamma^T eta)) / s0,
+    # over the (0, z, x) block of the real projection for rebits
+    rng = np.random.default_rng(50)
+    for field, k in ((NF.COMPLEX, 4), (NF.REAL, 3)):
+        eta = np.array([1.0, -1.0, -1.0, -1.0])[:k]
+        for _ in range(100):
+            g = random_full_rank_gamma(rng, w_min=0.01)
+            block = (pc.real_projection(g) if field is NF.REAL else g)[:k, :k]
+            w = np.sort(np.linalg.eigvals((block * eta) @ (block.T * eta)).real)[::-1]
+            expected = np.sqrt(np.clip(w, 0.0, None) / w[0])
+            result = sf.to_standard_form(g, field)
+            got = np.sort(np.abs(np.diag(result.gamma_std)[:k]))[::-1]
+            np.testing.assert_allclose(got, expected, atol=1e-9)
+
+
+@pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.7])
+def test_no_diagonal_form_reported(q):
+    # q |phi+><phi+| + (1 - q) |01><01| has mixed marginals, but its Lorentz
+    # normal form is not diagonal, so no local filter removes them
+    phi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    rho = q * np.outer(phi, phi) + (1.0 - q) * np.diag([0.0, 1.0, 0.0, 0.0])
+    g = pc.correlation_from_density(rho)
+    for field in (NF.COMPLEX, NF.REAL):
+        with pytest.raises(sf.SingularMarginal, match="no diagonal standard form"):
+            sf.to_standard_form(g, field)
+
+
 def test_singular_marginal_rejected():
     # pure product state: marginals are rank one
     g = pc.product_correlation(pc.polarization_state("H"), pc.polarization_state("V"))
     with pytest.raises(sf.SingularMarginal):
         sf.to_standard_form(g, NF.COMPLEX)
-
-
-def test_nonconvergence_reported():
-    rng = np.random.default_rng(47)
-    g = random_full_rank_gamma(rng)
-    with pytest.raises(sf.NonConvergence):
-        sf.to_standard_form(g, NF.COMPLEX, max_iters=1)
 
 
 def test_nonphysical_rejected():
