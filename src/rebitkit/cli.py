@@ -13,10 +13,10 @@ from {H, V, D, A, R, L}, ``bell:phi+|phi-|psi+|psi-``,
 
 Counts files are flat text: comment lines starting with ``#`` followed by
 nine records ``<alice basis> <bob basis> n_pp n_pm n_mp n_mm``.  Reports
-are JSON documents whose numeric fields are rounded to nine significant
-digits at construction, so written files read back bit-exactly.  The
-quasiprobability tables are additionally emitted as CSV files next to the
-report for plotting.
+are strict JSON documents (no ``Infinity`` or ``NaN``) whose numeric
+fields are rounded to nine significant digits at construction, so written
+files read back bit-exactly.  The quasiprobability tables are additionally
+emitted as CSV files next to the report for plotting.
 """
 
 from __future__ import annotations
@@ -24,9 +24,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -72,19 +74,15 @@ _BELL_GAMMAS = {
 MIXED = np.diag([1.0, 0.0, 0.0, 0.0])
 
 
-def _round9(x: float) -> float:
-    x = float(x)
-    if not np.isfinite(x):
-        return x
-    return float(f"{x:.9g}")
+def _round9(a) -> float | list:
+    """``a`` at nine significant digits, as a float or nested lists of floats.
 
-
-def _round9_matrix(m: np.ndarray) -> list[list[float]]:
-    return [[_round9(v) for v in row] for row in np.asarray(m, float)]
-
-
-def _round9_vector(v: np.ndarray) -> list[float]:
-    return [_round9(x) for x in np.asarray(v, float)]
+    Every entry is bit-equal to ``float(f"{x:.9g}")``, so a written report
+    reads back exactly; non-finite entries pass through unchanged.
+    """
+    a = np.asarray(a, dtype=float)
+    rounded = [float(f"{x:.9g}") for x in a.ravel().tolist()]
+    return np.array(rounded).reshape(a.shape).tolist()
 
 
 def _parse_params(rest: str, spec: str) -> dict[str, float]:
@@ -157,7 +155,8 @@ def parse_state_spec(spec: str) -> np.ndarray:
     if kind == "mix":
         return _mix_gamma(_mix_components(rest, spec))
     if kind == "gamma":
-        gamma = np.loadtxt(rest)
+        with open(rest) as fh:  # a local file: given a name, np.loadtxt would also fetch URLs
+            gamma = np.loadtxt(fh)
         return check_correlation(gamma)
     raise ValueError(f"unknown state spec {spec!r}")
 
@@ -225,8 +224,8 @@ class ReportDocument:
             "format": "rebitkit-report v1",
             "provenance": self.provenance,
             "estimated": {
-                "gamma": _round9_matrix(self.estimated.gamma),
-                "sigma": _round9_matrix(self.estimated.sigma),
+                "gamma": _round9(self.estimated.gamma),
+                "sigma": _round9(self.estimated.sigma),
             },
             "witness": _witness_dict(self.witness),
             "similarity_to_target": self.similarity_to_target,
@@ -241,15 +240,19 @@ class ReportDocument:
 
 
 def _witness_dict(v: WitnessVerdict, observable: str = "sigma_y x sigma_y") -> dict:
+    expectation, sigma, *bounds = _round9(
+        [v.expectation, v.sigma, *v.bounds_real, *v.bounds_complex]
+    )
     return {
         "observable": observable,
-        "expectation": _round9(v.expectation),
-        "sigma": _round9(v.sigma),
-        "bounds_real": [_round9(x) for x in v.bounds_real],
-        "bounds_complex": [_round9(x) for x in v.bounds_complex],
+        "expectation": expectation,
+        "sigma": sigma,
+        "bounds_real": bounds[:2],
+        "bounds_complex": bounds[2:],
         "r_entangled": v.r_entangled,
         "c_entangled": v.c_entangled,
-        "significance": _round9(v.significance),
+        # infinite when sigma = 0 and the verdict is certain: JSON has no such number
+        "significance": None if math.isinf(v.significance) else _round9(v.significance),
     }
 
 
@@ -262,22 +265,21 @@ def _decomposition_block(
     alphabet = REBIT_ALPHABET if d.field is NumberField.REAL else QUBIT_ALPHABET
     table = d.weight_table()
     table[np.abs(table) < 1e-12] = 0.0
-    alice_states: dict[str, list[float]] = {}
-    bob_states: dict[str, list[float]] = {}
-    for alice, bob, _ in d.entries:
-        if alice.label not in alice_states:
-            alice_states[alice.label] = _round9_vector(alice.bloch)
-        if bob.label not in bob_states:
-            bob_states[bob.label] = _round9_vector(bob.bloch)
+    # every entry of a label carries the same local state
+    alice = {a.label: a.bloch for a, _, _ in d.entries}
+    bob = {b.label: b.bloch for _, b, _ in d.entries}
+    distance, distance_sigma, residual, residual_sigma = _round9(
+        [distance, distance_sigma, d.residual_coeff, residual_sigma]
+    )
     return {
         "alphabet": list(alphabet),
-        "weights": _round9_matrix(table),
-        "alice_states": alice_states,
-        "bob_states": bob_states,
-        "distance": _round9(distance),
-        "distance_sigma": _round9(distance_sigma),
-        "residual_coeff": _round9(d.residual_coeff),
-        "residual_sigma": _round9(residual_sigma),
+        "weights": _round9(table),
+        "alice_states": dict(zip(alice, _round9(list(alice.values())))),
+        "bob_states": dict(zip(bob, _round9(list(bob.values())))),
+        "distance": distance,
+        "distance_sigma": distance_sigma,
+        "residual_coeff": residual,
+        "residual_sigma": residual_sigma,
         "certificate": separability_certificate(d),
     }
 
@@ -321,11 +323,8 @@ def run_analysis(
 
     similarity_block = None
     if target_gamma is not None:
-        similarity_block = {
-            "target": provenance.get("target", ""),
-            "value": _round9(similarity(gamma, target_gamma)),
-            "sigma": _round9(sigmas[-1]),
-        }
+        value, sigma = _round9([similarity(gamma, target_gamma), sigmas[-1]])
+        similarity_block = {"target": provenance.get("target", ""), "value": value, "sigma": sigma}
     decomposition_blocks = {
         fld: _decomposition_block(dec, dist, *sigmas[2 * i:2 * i + 2])
         for i, (fld, (dec, dist)) in enumerate(results.items())
@@ -351,13 +350,75 @@ def run_analysis(
     )
 
 
+@functools.cache
+def _encoder(depth: int):
+    """Strict JSON C-encoder ``encode`` whose item separator starts a line at ``depth``."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "), allow_nan=False).encode
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _holds_containers(values) -> bool:
+    return any(issubclass(kind, _CONTAINERS) for kind in set(map(type, values)))
+
+
+def _layout(value, depth: int = 0) -> str:
+    """``value`` laid out byte for byte as ``json.dumps(value, indent=2)``, at ``depth``.
+
+    A list without nested containers, a matrix (a list of such lists) and
+    each run of scalar items in a dict are one C-encoder call, whose item
+    separator carries the newline and indentation.  That cannot clash with
+    string contents: the encoder escapes every newline inside a string.
+    Only the remaining nesting is walked here.  Keys must be strings.
+    """
+    if not (isinstance(value, _CONTAINERS) and value):
+        return _encoder(depth)(value)
+    inner = depth + 1
+    pad = "\n" + "  " * inner
+    if isinstance(value, dict):
+        parts, scalars = [], {}
+        for key, item in value.items():
+            if isinstance(item, _CONTAINERS) and item:
+                if scalars:
+                    parts.append(_encoder(inner)(scalars)[1:-1])
+                    scalars = {}
+                parts.append(f"{_encoder(inner)(key)}: {_layout(item, inner)}")
+            else:
+                scalars[key] = item
+        if scalars:
+            parts.append(_encoder(inner)(scalars)[1:-1])
+        return "{" + pad + ("," + pad).join(parts) + pad[:-2] + "}"
+    if not _holds_containers(value):
+        body = _encoder(inner)(value)[1:-1]
+    elif (set(map(type, value)) <= {list, tuple} and all(value)
+          and not _holds_containers(chain.from_iterable(value))):
+        # encoded at the entries' depth, "]" + separator + "[" occurs only between rows
+        row_pad = pad + "  "
+        rows = _encoder(inner + 1)(value)[2:-2]
+        body = ("[" + row_pad + rows.replace("]," + row_pad + "[", pad + "]," + pad + "[" + row_pad)
+                + pad + "]")
+    else:
+        body = ("," + pad).join(_layout(item, inner) for item in value)
+    return "[" + pad + body + pad[:-2] + "]"
+
+
 def write_report(path: str, report: ReportDocument) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
+    """Write the report JSON and one quasiprobability CSV per field.
+
+    Every text is built before the first file is opened, so a value strict
+    JSON cannot hold raises ValueError and leaves no file behind.
+    """
+    try:
+        texts = [(path, _layout(report.to_dict()) + "\n")]
+    except ValueError as exc:
+        raise ValueError(f"report {path} not written: {exc}") from None
     base, _ = os.path.splitext(path)
     for fld, block in report.decompositions.items():
-        _write_quasi_csv(f"{base}.quasi_{fld.value}.csv", block)
+        texts.append((f"{base}.quasi_{fld.value}.csv", _quasi_csv(block)))
+    for target, text in texts:
+        with open(target, "w") as fh:
+            fh.write(text)
 
 
 def read_report(path: str) -> dict:
@@ -365,13 +426,13 @@ def read_report(path: str) -> dict:
         return json.load(fh)
 
 
-def _write_quasi_csv(path: str, block: dict) -> None:
+def _quasi_csv(block: dict) -> str:
+    """The block's rounded weight table as CSV: Alice's labels by row, Bob's by column."""
     alphabet = block["alphabet"]
     lines = ["," + ",".join(alphabet)]
     for label, row in zip(alphabet, block["weights"]):
         lines.append(label + "," + ",".join(f"{w:.9g}" for w in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

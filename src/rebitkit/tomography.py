@@ -32,6 +32,8 @@ _SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 DEFAULT_EVENTS = 100_000
 DEFAULT_MC_SAMPLES = 10_000
+# event totals up to 2**53 convert to floats exactly; beyond 2**1024 not at all
+MAX_EVENTS = 2**53
 
 
 @dataclass
@@ -53,6 +55,8 @@ class CountsDataset:
                 raise ValueError(f"setting {key} must hold four nonnegative counts")
             if sum(counts) <= 0:
                 raise ValueError(f"setting {key} holds no events")
+            if sum(counts) > MAX_EVENTS:
+                raise ValueError(f"setting {key} holds more than 2**53 events")
 
 
 @dataclass
@@ -89,8 +93,8 @@ def simulate_counts(
 ) -> CountsDataset:
     """Multinomial coincidence counts for all nine settings; seed-reproducible."""
     g_true = check_correlation(g_true)
-    if events_per_setting < 1:
-        raise ValueError("events_per_setting must be >= 1")
+    if not 1 <= events_per_setting <= MAX_EVENTS:
+        raise ValueError(f"events_per_setting must lie in [1, 2**53], got {events_per_setting}")
     rng = np.random.default_rng(seed)
     settings = {}
     for a in BASES:
@@ -185,18 +189,17 @@ def monte_carlo_propagate(
     """Propagate estimation uncertainties through a batched analysis.
 
     Draws ``n_samples`` correlation matrices with entries normally
-    distributed around the estimate, each from its own child of
-    ``SeedSequence(seed)``, repairs them by eigenvalue clipping, and maps
-    the (n_samples, 4, 4) stack to (n_samples, k) outputs with one call of
+    distributed around the estimate, all from one ``default_rng(seed)``
+    stream in sample order (so the first k samples of a pass equal a
+    k-sample pass), repairs them by eigenvalue clipping, and maps the
+    (n_samples, 4, 4) stack to (n_samples, k) outputs with one call of
     ``analysis``; returns their mean and sample standard deviation.  An
     exception raised by ``analysis`` propagates unchanged.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    samples = np.stack([
-        e.gamma + e.sigma * np.random.default_rng(child).standard_normal((4, 4))
-        for child in np.random.SeedSequence(seed).spawn(n_samples)
-    ])
+    noise = np.random.default_rng(seed).standard_normal((n_samples, 4, 4))
+    samples = e.gamma + e.sigma * noise
     samples[:, 0, 0] = 1.0
     outputs = np.asarray(analysis(repair_to_physical(samples)), float)
     if outputs.ndim != 2 or len(outputs) != n_samples:

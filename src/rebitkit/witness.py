@@ -286,26 +286,33 @@ def evaluate_witness(
     The expectation is ``lz g[z,z] + lx g[x,x] + ly g[y,y]``; its standard
     deviation is propagated quadratically from ``sigma_gamma`` when given.
     A bound counts as violated only when exceeded by more than ``k``
-    standard deviations.
+    standard deviations.  Raises ValueError when coefficients so large that
+    the expectation, its deviation or a bound overflows leave no verdict.
     """
     if k <= 0:
         raise ValueError("significance threshold k must be positive")
     g = check_correlation(g)
-    expectation = float(
-        obs.lz * g[IDX_Z, IDX_Z] + obs.lx * g[IDX_X, IDX_X] + obs.ly * g[IDX_Y, IDX_Y]
-    )
-    sigma = 0.0
-    if sigma_gamma is not None:
-        sg = np.asarray(sigma_gamma, float)
-        sigma = float(
-            np.sqrt(
-                (obs.lz * sg[IDX_Z, IDX_Z]) ** 2
-                + (obs.lx * sg[IDX_X, IDX_X]) ** 2
-                + (obs.ly * sg[IDX_Y, IDX_Y]) ** 2
-            )
+    with np.errstate(over="ignore", invalid="ignore"):
+        expectation = float(
+            obs.lz * g[IDX_Z, IDX_Z] + obs.lx * g[IDX_X, IDX_X] + obs.ly * g[IDX_Y, IDX_Y]
         )
+        sigma = 0.0
+        if sigma_gamma is not None:
+            sg = np.asarray(sigma_gamma, float)
+            sigma = float(
+                np.sqrt(
+                    (obs.lz * sg[IDX_Z, IDX_Z]) ** 2
+                    + (obs.lx * sg[IDX_X, IDX_X]) ** 2
+                    + (obs.ly * sg[IDX_Y, IDX_Y]) ** 2
+                )
+            )
     b_real = bounds(obs, NumberField.REAL)
     b_complex = bounds(obs, NumberField.COMPLEX)
+    if not np.isfinite([expectation, sigma, *b_real, *b_complex]).all():
+        raise ValueError(
+            f"observable {obs.lz}*zz + {obs.lx}*xx + {obs.ly}*yy overflows: expectation "
+            f"{expectation}, sigma {sigma}, bounds {b_real} (real), {b_complex} (complex)"
+        )
 
     def violated(lo: float, hi: float) -> bool:
         return expectation < lo - k * sigma or expectation > hi + k * sigma

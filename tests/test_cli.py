@@ -1,7 +1,11 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_full_rank_gamma
 from rebitkit import cli
@@ -389,3 +393,208 @@ def test_exact_diagnostics_show_plain_values(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: correlation matrix not normalized: gamma[0,0] = 2.0\n"
     assert not out.exists()
+
+
+def _strict_json(text: str) -> dict:
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_exact_rejects_overflowing_observable(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["exact", "--state", "bell:psi-", "--observable", "1e308,1e308,-1e308",
+                       "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: observable 1e+308*zz + 1e+308*xx + -1e+308*yy overflows")
+    assert not out.exists()
+
+
+def test_certain_verdict_writes_null_significance(tmp_path):
+    out = tmp_path / "r.json"
+    assert cli.main(["exact", "--state", "cfr:q=1", "--observable", "1,1,0",
+                     "--out", str(out)]) == 0
+    doc = _strict_json(out.read_text())
+    assert doc["witness"]["sigma"] == 0.0 and doc["witness"]["r_entangled"] is True
+    assert doc["witness"]["significance"] is None
+    assert doc["extra_witnesses"][0]["significance"] == 0.0  # no bound violated
+
+
+def test_non_finite_report_value_opens_no_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "similarity", lambda g, target: np.inf)
+    out = tmp_path / "r.json"
+    assert cli.main(["exact", "--state", "cfr:q=1", "--target", "cfr:q=1",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: report {out} not written: Out of range float values")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _write_gamma(path, gamma):
+    np.savetxt(path, gamma, fmt="%.17g")
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "--state", "cfr:q=0.75,v=0.9"],
+        ["exact", "--state", "product:RL", "--fields", "real"],
+        ["exact", "--state", "bell:phi-", "--observable", "1,1,0", "--observable=-1,0.5,2"],
+        ["exact", "--state", "mix:HH=0.3,DD=0.3,RL=0.3,mixed=0.1", "--target", "cfr:q=0"],
+        ["exact", "--state", "gamma:{gamma}", "--target", "bell:psi+", "--observable", "0,0,1"],
+        ["analyze", "--counts", "{counts}", "--mc-samples", "0"],
+        ["analyze", "--counts", "{counts}", "--target", "cfr:q=1", "--observable", "1,0,1",
+         "--fields", "complex", "--mc-samples", "30", "--seed", "2"],
+    ],
+)
+def test_report_writer_matches_json_indent(tmp_path, argv):
+    gamma = _write_gamma(tmp_path / "g.txt", random_full_rank_gamma(np.random.default_rng(4)))
+    counts = tmp_path / "c.txt"
+    cli.main(["simulate", "--state", "mix:RR=0.48,LL=0.48,mixed=0.04", "--events", "2000",
+              "--seed", "3", "--out", str(counts)])
+    out = tmp_path / "r.json"
+    argv = [a.format(gamma=gamma, counts=counts) for a in argv]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text == json.dumps(_strict_json(text), indent=2) + "\n"
+
+
+def test_simulate_rejects_event_counts_beyond_float_precision(tmp_path, capsys):
+    out = tmp_path / "c.txt"
+    assert cli.main(["simulate", "--state", "cfr:q=1", "--events", str(10**23),
+                     "--out", str(out)]) == 2
+    assert "events_per_setting must lie in [1, 2**53]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_writer_hostile_documents(tmp_path):
+    name = 'g", "], ["q\\"\\ é ψ\t.txt'
+    path = _write_gamma(tmp_path / name, pc.cfr_state(0.25))
+    out = tmp_path / "r.json"
+    assert cli.main(["exact", "--state", f"gamma:{path}", "--target", f"gamma:{path}",
+                     "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text.isascii() and text == json.dumps(_strict_json(text), indent=2) + "\n"
+    assert _strict_json(text)["provenance"]["state"] == f"gamma:{path}"
+
+    hostile = {
+        "path": name,
+        "brackets": ["], [", '", "', "],\n  [", "\n"],
+        "numbers": [-0.0, 0, -1, True, False, None, 1e308, 5e-324],
+        "matrix": [[-0.0, 1], [True, "x"], ("t", 2.5)],
+        "ragged": [[1.0], [], [[2.0]], {}, {"k": []}],
+        "empty": [], "empty_dict": {}, "nested_empty": [[]],
+        name: {"a": [[1.0, 2.0]], "b": 3, "c": [{"d": [-0.0]}], "e": "f"},
+    }
+    for doc in (hostile, [hostile, [hostile]], [], {}, "s", -0.0, 7, True, None):
+        assert cli._layout(doc) == json.dumps(doc, indent=2)
+    with pytest.raises(ValueError, match="Out of range float"):
+        cli._layout({"a": [[1.0, float("nan")]]})
+
+
+_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308,
+    1.7976931348623157e308, 9.9999999996, -9.9999999996, 0.99999999995, 999999999.5,
+    123456789.49999999, 1e-9, math.inf, -math.inf,
+]
+
+
+def _bits(values) -> list:
+    return np.array(values, dtype=float).view(np.uint64).tolist()
+
+
+_ROUND9_VALUES = st.floats(allow_nan=False) | st.sampled_from(_EDGE_FLOATS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_ROUND9_VALUES, min_size=1, max_size=12))
+def test_round9_is_bit_equal_to_format(values):
+    want = [float(f"{x:.9g}") for x in values]
+    assert _bits(cli._round9(values)) == _bits(want)
+    column = cli._round9(np.reshape(values, (-1, 1)))
+    assert _bits(column) == _bits(np.reshape(want, (-1, 1)))
+    scalar = cli._round9(values[0])
+    assert type(scalar) is float and _bits(scalar) == _bits(want[0])
+
+
+_SPEC_KINDS = ["cfr", "product", "bell", "mix", "CFR", " Mix ", "gamma", ""]
+_SPEC_VALUES = st.sampled_from(["0", "1", "2", "-1", "1e-320", "1e308", "nan", "-inf", "", "x"])
+_SPEC_PARAMS = st.lists(
+    st.builds("{}={}".format, st.sampled_from(["q", "v", "RR", "LL", "RL", "HD", "mixed", "w"]),
+              _SPEC_VALUES | st.floats(-2, 2).map(repr)),
+    max_size=4,
+).map(",".join)
+_SPEC_BODIES = (
+    _SPEC_PARAMS
+    | st.sampled_from(["RL", "hv", "phi+", "psi-", "omega", "R"])
+    | st.text(max_size=12)
+)
+_GAMMA_ENTRIES = (
+    st.sampled_from(["0", "1", "0.5", "-1", "2", "1e-12", "nan", "1e308"])
+    | st.floats(-1, 1).map(repr)
+)
+# 4x4 grids with gamma[0,0] = 1, or free text
+_GAMMA_FILES = st.lists(_GAMMA_ENTRIES, min_size=16, max_size=16).map(
+    lambda e: "\n".join(" ".join(["1", *e[1:4]] if i == 0 else e[4 * i:4 * i + 4])
+                        for i in range(4))
+) | st.text(max_size=40)
+_NUMBERS = ["0", "-1", "1.5", "nan", "inf", "1e400", "9" * 400, str(2**53 + 1), "x", "#", "١٢"]
+
+
+@st.composite
+def _counts_text(draw) -> str:
+    """A counts file: nine records of counts up to a drawn scale, then a few token edits."""
+    scale = draw(st.sampled_from([3, 50, 10**6]))
+    rows = [
+        [a, b, *(str(draw(st.integers(0, scale))) for _ in range(4))]
+        for a in tm.BASES
+        for b in tm.BASES
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from(rows))
+        edit = draw(st.sampled_from(["token", "drop", "duplicate"]))
+        if edit == "token":
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_NUMBERS + ["w", "z"]))
+        elif edit == "drop" and len(rows) > 1:
+            rows.remove(row)
+        else:
+            rows.append(list(row))
+    return "".join(" ".join(row) + "\n" for row in rows)
+
+
+def _assert_clean_exit(rc: int, capsys) -> None:
+    err = capsys.readouterr().err
+    assert rc in (0, 2) and "Traceback" not in err
+    assert (rc == 0) == (err == ""), err
+
+
+_FUZZ = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@settings(_FUZZ, max_examples=150)
+@given(kind=st.sampled_from(_SPEC_KINDS), body=_SPEC_BODIES, gamma_file=_GAMMA_FILES)
+@example(kind="gamma", body="", gamma_file="1 1e308 0 0\n0 1e308 0 0\n0 0 0 0\n0 0 0 0")
+def test_fuzz_exact_state_specs(tmp_path, capsys, kind, body, gamma_file):
+    gamma = tmp_path / "g.txt"
+    gamma.write_text(gamma_file)
+    # gamma: specs read the fuzzed file; other kinds take the fuzzed body
+    spec = f"{kind}:{gamma}" if kind == "gamma" else f"{kind}:{body}"
+    out = tmp_path / "r.json"
+    _assert_clean_exit(cli.main(["exact", f"--state={spec}", "--out", str(out)]), capsys)
+
+
+@settings(_FUZZ, max_examples=60)
+@given(text=_counts_text() | st.text(max_size=80))
+@example(text="".join(f"{a} {b} {'9' * 400} 1 1 1\n" for a in tm.BASES for b in tm.BASES))
+def test_fuzz_analyze_counts_files(tmp_path, capsys, text):
+    counts = tmp_path / "c.txt"
+    counts.write_text(text)
+    out = tmp_path / "r.json"
+    rc = cli.main(["analyze", "--counts", str(counts), "--mc-samples", "20", "--seed", "1",
+                   "--out", str(out)])
+    _assert_clean_exit(rc, capsys)

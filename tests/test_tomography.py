@@ -240,21 +240,38 @@ def test_monte_carlo_samples_stay_physical():
     assert seen == [(300, 4, 4)]
 
 
-def test_monte_carlo_streams_match_per_sample_loop():
-    # the batched draw and repair equal the per-sample reference bit for bit
+def test_monte_carlo_stream_is_one_generator():
+    # the batched draw and repair equal a hand loop over one generator's stack, bit for bit
     sigma = np.full((4, 4), 0.03)
     sigma[0, 0] = 0.0
     est = tm.EstimatedState(gamma=pc.cfr_state(0.98), sigma=sigma)
     n = 40
-    means, _ = tm.monte_carlo_propagate(est, n, 17, lambda g: g.reshape(len(g), 16))
+
+    def flatten(g):
+        return g.reshape(len(g), 16)
+
+    means, _ = tm.monte_carlo_propagate(est, n, 17, flatten)
     reference, repaired = [], 0
-    for child in np.random.SeedSequence(17).spawn(n):
-        sample = est.gamma + est.sigma * np.random.default_rng(child).standard_normal((4, 4))
+    for noise in np.random.default_rng(17).standard_normal((n, 4, 4)):
+        sample = est.gamma + est.sigma * noise
         sample[0, 0] = 1.0
         reference.append(tm.repair_to_physical(sample).reshape(16))
         repaired += not np.array_equal(reference[-1], sample.reshape(16))
     np.testing.assert_array_equal(means, np.stack(reference).mean(axis=0))
     assert 0 < repaired < n  # both branches of the repair ran
+
+    # the first k samples of an n-sample pass are the k-sample pass
+    stacks = []
+
+    def capture(g):
+        stacks.append(g.copy())
+        return flatten(g)
+
+    for count in (n, 2, 7):
+        tm.monte_carlo_propagate(est, count, 17, capture)
+    full = stacks.pop(0)
+    for prefix in stacks:
+        np.testing.assert_array_equal(prefix, full[:len(prefix)])
 
 
 def test_repair_stack_matches_single_calls():
