@@ -27,12 +27,14 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
 from .pauli_core import (
+    DEFAULT_TOL,
     NumberField,
     POLARIZATION_BLOCH,
     cfr_state,
@@ -155,9 +157,20 @@ def parse_state_spec(spec: str) -> np.ndarray:
     if kind == "mix":
         return _mix_gamma(_mix_components(rest, spec))
     if kind == "gamma":
-        with open(rest) as fh:  # a local file: given a name, np.loadtxt would also fetch URLs
+        # a local file: given a name, np.loadtxt would also fetch URLs
+        with open(rest) as fh, warnings.catch_warnings():
+            # a file without data gets the 4x4 diagnostic below, not numpy's note
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             gamma = np.loadtxt(fh)
-        return check_correlation(gamma)
+        gamma = check_correlation(gamma)
+        # every state has |gamma[mu,nu]| = |tr(rho s_mu (x) s_nu)| <= 1
+        outside = np.abs(gamma) > 1.0 + DEFAULT_TOL
+        if outside.any():
+            i, j = np.argwhere(outside)[0]
+            raise ValueError(
+                f"correlation matrix entry outside [-1, 1]: gamma[{i},{j}] = {float(gamma[i, j])!r}"
+            )
+        return gamma
     raise ValueError(f"unknown state spec {spec!r}")
 
 

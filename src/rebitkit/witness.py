@@ -120,10 +120,14 @@ def ordinary_spectrum(obs: DiagObservable) -> list[tuple[float, np.ndarray]]:
     return [(float(v), np.outer(k, k.conj())) for v, k in zip(values, bell)]
 
 
-def _reduced_bloch(lam: np.ndarray, a: np.ndarray, b: np.ndarray):
-    # Bloch parts c of lam^T (1, a) and d of lam (1, b): Bob's reduced
-    # operator is (c0 + c.sigma)/4 and Alice's is (d0 + d.sigma)/4
-    return lam[0, 1:] + a @ lam[1:, 1:], lam[1:, 0] + b @ lam[1:, 1:].T
+# Bloch parts c of lam^T (1, a) and d of lam (1, b): Bob's reduced operator
+# is (c0 + c.sigma)/4 and Alice's is (d0 + d.sigma)/4
+def _reduced_bob(lam: np.ndarray, a: np.ndarray) -> np.ndarray:
+    return lam[0, 1:] + a @ lam[1:, 1:]
+
+
+def _reduced_alice(lam: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return lam[1:, 0] + b @ lam[1:, 1:].T
 
 
 def _unit(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
@@ -132,28 +136,38 @@ def _unit(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     return np.where(n > 0.0, v / np.maximum(n, 1e-300), fallback)
 
 
-def _newton(lam: np.ndarray, a: np.ndarray, b: np.ndarray):
+def _newton(lam: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float):
     """Riemannian Newton steps towards stationary points of (1, a)^T lam (1, b).
 
-    Rows of ``a`` and ``b`` are unit Bloch vectors.  The Hessian on the
-    product of spheres is padded with the normal projectors, so the step
-    stays tangent; its pseudo-inverse steps along no continuum of solutions.
+    Rows of ``a`` and ``b`` are unit Bloch vectors, updated in place.  Only
+    rows whose gradient norm is at least ``tol`` step, for at most 8 steps.
+    The Hessian on the product of spheres is padded with the normal
+    projectors, so the step stays tangent; its pseudo-inverse, which drops
+    eigenvalues w with |w| <= 1e-12 max|w| as pinv(rcond=1e-12) does, steps
+    along no continuum of solutions.
     """
-    eye, steps = np.eye(a.shape[1]), 8
+    n, steps = a.shape[1], 8
+    eye = np.eye(n)
     for step in range(steps + 1):
-        c, d = _reduced_bloch(lam, a, b)
+        c, d = _reduced_bob(lam, a), _reduced_alice(lam, b)
         ad, bc = np.sum(a * d, axis=1, keepdims=True), np.sum(b * c, axis=1, keepdims=True)
         grad = np.hstack([d - ad * a, c - bc * b])
-        if step == steps:
-            return a, b, c, d, np.linalg.norm(grad, axis=1)
-        pa, pb = (eye - v[:, :, None] * v[:, None, :] for v in (a, b))
-        cross = pa @ lam[1:, 1:] @ pb
-        hess = np.block([
-            [eye - (1.0 + ad[:, :, None]) * pa, cross],
-            [cross.transpose(0, 2, 1), eye - (1.0 + bc[:, :, None]) * pb],
-        ])
-        delta = np.einsum("nij,nj->ni", np.linalg.pinv(hess, rcond=1e-12, hermitian=True), grad)
-        a, b = _unit(a - delta[:, : len(eye)], a), _unit(b - delta[:, len(eye) :], b)
+        residual = np.linalg.norm(grad, axis=1)
+        rows = np.flatnonzero(residual >= tol)
+        if step == steps or not rows.size:
+            return a, b, c, d, residual
+        pa, pb = (eye - v[:, :, None] * v[:, None, :] for v in (a[rows], b[rows]))
+        hess = np.empty((len(rows), 2 * n, 2 * n))
+        hess[:, :n, :n] = eye - (1.0 + ad[rows, :, None]) * pa
+        hess[:, :n, n:] = pa @ lam[1:, 1:] @ pb
+        hess[:, n:, :n] = hess[:, :n, n:].transpose(0, 2, 1)
+        hess[:, n:, n:] = eye - (1.0 + bc[rows, :, None]) * pb
+        w, v = np.linalg.eigh(hess)
+        keep = np.abs(w) > 1e-12 * np.abs(w).max(axis=1, keepdims=True)
+        coef = np.divide(np.einsum("nji,nj->ni", v, grad[rows]), w, out=np.zeros_like(w), where=keep)
+        delta = np.einsum("nij,nj->ni", v, coef)
+        a[rows] = _unit(a[rows] - delta[:, :n], a[rows])
+        b[rows] = _unit(b[rows] - delta[:, n:], b[rows])
 
 
 def _real_candidates(lam: np.ndarray) -> np.ndarray:
@@ -182,6 +196,52 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     return np.stack([z, rho * np.cos(phi), rho * np.sin(phi)], axis=1)
 
 
+def _correlation(obs: np.ndarray, n_starts: int) -> np.ndarray:
+    """lam[m, n] = tr(L s_m (x) s_n), after the input checks of both public solvers."""
+    obs = np.asarray(obs, dtype=float)
+    if obs.shape != (4, 4):
+        raise ValueError(f"observable must be 4x4, got {obs.shape}")
+    if np.abs(obs - obs.T).max() > 1e-12 * (np.abs(obs).max() + 1.0):
+        raise ValueError("observable must be symmetric")
+    if n_starts < 1:
+        raise ValueError("n_starts must be >= 1")
+    return np.real(np.einsum("ij,mnji->mn", obs, KRON))
+
+
+def _scale(lam: np.ndarray) -> float:
+    return 0.5 * np.linalg.norm(lam) + 1.0  # ||L|| + 1, as ||lam|| = 2 ||L||
+
+
+def _stationary_rows(lam: np.ndarray, field: NumberField, n_starts: int):
+    """Stationary product states of <ab|L|ab> as arrays, one row per track.
+
+    Returns values, Alice's and Bob's Bloch vectors (z, x) over the reals
+    and (z, x, y) over the complex numbers, residuals and degeneracy flags
+    of the tracks that meet the equations to 1e-10 (scaled by ||L|| + 1).
+    Rows are neither deduplicated nor sorted.
+    """
+    scale = _scale(lam)
+    tol = 1e-10 * scale
+    if field is NumberField.REAL:
+        lam = lam[:3, :3]
+        a, rounds = _real_candidates(lam), 0
+    else:
+        a, rounds = _fibonacci_sphere(n_starts), 20
+    # per start, one track follows best responses up towards a maximum and
+    # one down towards a minimum; over the reals only Bob responds, once
+    a, sign = np.tile(a, (2, 1)), np.repeat([1.0, -1.0], len(a))[:, None]
+    b = np.tile(np.eye(a.shape[1])[0], (len(a), 1))
+    for _ in range(rounds):
+        b = _unit(sign * _reduced_bob(lam, a), b)
+        a = _unit(sign * _reduced_alice(lam, b), a)
+    b = _unit(sign * _reduced_bob(lam, a), b)
+    a, b, c, d, residual = _newton(lam, a, b, tol)
+    values = 0.25 * (lam[0, 0] + a @ lam[1:, 0] + np.sum(b * c, axis=1)) + 0.0  # never -0.0
+    degenerate = np.minimum(np.linalg.norm(c, axis=1), np.linalg.norm(d, axis=1)) < 1e-9 * scale
+    ok = residual < tol
+    return values[ok], a[ok], b[ok], residual[ok], degenerate[ok]
+
+
 def numeric_separability_eigs(
     obs: np.ndarray,
     field: NumberField,
@@ -199,41 +259,25 @@ def numeric_separability_eigs(
     solutions, which yield at least one pair each.  Over the complex
     numbers, best responses from a Fibonacci grid of ``n_starts`` points
     on Alice's Bloch sphere reach the local extrema, with no completeness
-    claim.  Newton steps polish both; pairs that miss the equations by more
-    than 1e-10 (scaled by the observable norm) are dropped.  A pair is
-    degenerate when one party's reduced operator is a multiple of the
-    identity, so every state of the other party solves its equation.  The
-    result is deduplicated, sorted by value and deterministic; ``seed`` has
-    no effect and is kept for compatibility.
+    claim.  Newton steps polish both, stepping only the rows whose gradient
+    is not yet within the acceptance tolerance; pairs that miss the
+    equations by more than 1e-10 (scaled by the observable norm) are
+    dropped.  A pair is degenerate when one party's reduced operator is a
+    multiple of the identity, so every state of the other party solves its
+    equation.  The result is deduplicated, sorted by value and
+    deterministic; ``seed`` has no effect and is kept for compatibility.
     """
-    obs = np.asarray(obs, dtype=float)
-    if obs.shape != (4, 4):
-        raise ValueError(f"observable must be 4x4, got {obs.shape}")
-    if np.abs(obs - obs.T).max() > 1e-12 * (np.abs(obs).max() + 1.0):
-        raise ValueError("observable must be symmetric")
-    if n_starts < 1:
-        raise ValueError("n_starts must be >= 1")
-    lam = np.real(np.einsum("ij,mnji->mn", obs, KRON))
-    if field is NumberField.REAL:
-        lam = lam[:3, :3]
-        a, rounds = _real_candidates(lam), 0
-    else:
-        a, rounds = _fibonacci_sphere(n_starts), 20
-    # per start, one track follows best responses up towards a maximum and
-    # one down towards a minimum; over the reals only Bob responds, once
-    a, sign = np.tile(a, (2, 1)), np.repeat([1.0, -1.0], len(a))[:, None]
-    b = np.tile(np.eye(a.shape[1])[0], (len(a), 1))
-    for _ in range(rounds):
-        b = _unit(sign * _reduced_bloch(lam, a, b)[0], b)
-        a = _unit(sign * _reduced_bloch(lam, a, b)[1], a)
-    a, b, c, d, residual = _newton(lam, a, _unit(sign * _reduced_bloch(lam, a, b)[0], b))
-    scale = np.linalg.norm(obs) + 1.0
-    values = 0.25 * (lam[0, 0] + a @ lam[1:, 0] + np.sum(b * c, axis=1)) + 0.0  # never -0.0
-    degenerate = np.minimum(np.linalg.norm(c, axis=1), np.linalg.norm(d, axis=1)) < 1e-9 * scale
+    lam = _correlation(obs, n_starts)
+    values, a, b, _, degenerate = _stationary_rows(lam, field, n_starts)
+    scale = _scale(lam)
     states = np.hstack([a, b])
-    # one pair per solution; a degenerate pair stands for all of its value
+    # one pair per solution; a degenerate pair stands for all of its value.
+    # Rows at one solution differ in the last bits, so the walk takes the
+    # largest value first and then ascends: the pairs then span exactly the
+    # values that bounds() reports
+    order = np.argsort(values, kind="stable")
     kept: list[int] = []
-    for i in np.flatnonzero(residual < 1e-10 * scale):
+    for i in np.concatenate([order[-1:], order[:-1]]):
         near = np.abs(values[kept] - values[i]) < 1e-7 * scale
         close = np.all(np.abs(states[kept] - states[i]) < 1e-6, axis=1)
         if not np.any(near & (close | degenerate[kept] & degenerate[i])):
@@ -260,7 +304,10 @@ def bounds(
 
     Pauli-diagonal observables use the closed form: +-max{|lz|, |lx|} over
     the reals, extended by |ly| over the complex numbers.  General
-    symmetric matrices fall back to the numeric solver.
+    symmetric matrices take the same input checks and solver as
+    ``numeric_separability_eigs`` (``seed`` has no effect), and the
+    extremes come straight from the solver's value array, with no
+    deduplication and no pair objects.
     """
     if isinstance(obs, DiagObservable):
         if field is NumberField.REAL:
@@ -268,11 +315,10 @@ def bounds(
         else:
             m = max(abs(obs.lz), abs(obs.lx), abs(obs.ly))
         return (-m + 0.0, m)
-    pairs = numeric_separability_eigs(obs, field, n_starts=n_starts, seed=seed)
-    if not pairs:
+    values = _stationary_rows(_correlation(obs, n_starts), field, n_starts)[0]
+    if not values.size:
         raise RuntimeError("separability solver returned no converged fixed points")
-    values = [p.value for p in pairs]
-    return (min(values), max(values))
+    return (float(values.min()), float(values.max()))
 
 
 def evaluate_witness(

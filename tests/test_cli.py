@@ -395,6 +395,36 @@ def test_exact_diagnostics_show_plain_values(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 0 0 0\n1e308 1e308 0 0\n0 0 0 0\n0 0 0 0",
+         "correlation matrix entry outside [-1, 1]: gamma[1,0] = 1e+308"),
+        ("1 0 0 0\n0 0 0 0\n0 0 0 -1.5\n0 0 0 0",
+         "correlation matrix entry outside [-1, 1]: gamma[2,3] = -1.5"),
+        ("", "correlation matrix must be 4x4, got (0,)"),
+        ("# no data\n", "correlation matrix must be 4x4, got (0,)"),
+    ],
+)
+def test_exact_gamma_file_diagnostics_warn_nothing(tmp_path, capsys, text, message):
+    path = tmp_path / "gamma.txt"
+    path.write_text(text)
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["exact", "--state", f"gamma:{path}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_exact_gamma_file_accepts_unit_entries(tmp_path):
+    # bell:phi+ has entries +-1 only; round-off beyond 1 stays within the tolerance
+    path = tmp_path / "gamma.txt"
+    np.savetxt(path, np.diag([1.0, 1.0 + 1e-12, 1.0, -1.0]))
+    out = tmp_path / "r.json"
+    assert cli.main(["exact", "--state", f"gamma:{path}", "--out", str(out)]) == 0
+
+
 def _strict_json(text: str) -> dict:
     def reject(token):
         raise ValueError(f"non-standard JSON token {token}")
@@ -576,6 +606,7 @@ def _assert_clean_exit(rc: int, capsys) -> None:
 _FUZZ = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
+@pytest.mark.filterwarnings("error")
 @settings(_FUZZ, max_examples=150)
 @given(kind=st.sampled_from(_SPEC_KINDS), body=_SPEC_BODIES, gamma_file=_GAMMA_FILES)
 @example(kind="gamma", body="", gamma_file="1 1e308 0 0\n0 1e308 0 0\n0 0 0 0\n0 0 0 0")

@@ -113,10 +113,19 @@ def test_numeric_matches_analytic_example():
 
 
 def test_numeric_rejects_bad_input():
-    with pytest.raises(ValueError, match="symmetric"):
-        wt.numeric_separability_eigs(np.triu(np.ones((4, 4))), NF.REAL)
-    with pytest.raises(ValueError, match="n_starts"):
-        wt.numeric_separability_eigs(np.zeros((4, 4)), NF.REAL, n_starts=0)
+    cases = [
+        (np.zeros((3, 3)), 64, "4x4"),
+        (np.triu(np.ones((4, 4))), 64, "symmetric"),
+        (np.zeros((4, 4)), 0, "n_starts"),
+    ]
+    # bounds() on a matrix runs the same checks, with the same messages
+    for obs, n_starts, match in cases:
+        messages = []
+        for solve in (wt.numeric_separability_eigs, wt.bounds):
+            with pytest.raises(ValueError, match=match) as info:
+                solve(obs, NF.REAL, n_starts=n_starts)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
 
 def ket_from_bloch(bloch):
@@ -345,3 +354,41 @@ def test_bounds_general_observable_warns_nothing():
         warnings.simplefilter("error")
         for field in (NF.REAL, NF.COMPLEX):
             wt.bounds(m, field)
+
+
+def test_bounds_are_extremes_of_the_pairs():
+    # both consumers of the shared solver see the same extremes, bit for bit
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        m = random_symmetric(rng)
+        for field in (NF.REAL, NF.COMPLEX):
+            values = [p.value for p in wt.numeric_separability_eigs(m, field)]
+            assert wt.bounds(m, field) == (min(values), max(values))
+
+
+def min_lambda_max(ms, shift):
+    """min over t of the largest eigenvalue of m + t * shift, per m (golden-section search)."""
+    t_max = 2.0 * np.linalg.norm(ms, axis=(1, 2)) + 1.0  # the minimiser lies within +-2 ||m||
+
+    def f(t):
+        return np.linalg.eigvalsh(ms + t[:, None, None] * shift)[:, -1]
+
+    lo, hi, g = -t_max, t_max, (np.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(100):
+        x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
+        left = f(x1) < f(x2)  # convex in t, so the minimum lies in [lo, x2] or in [x1, hi]
+        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
+    return f((lo + hi) / 2.0)
+
+
+def test_real_bounds_match_rebit_duals():
+    # a real state is rebit-separable exactly when it is PPT and tr(rho yy) = 0,
+    # so the real bounds are the convex duals min_t lambda_max(+-L + t yy)
+    sy = np.array([[0, -1j], [1j, 0]])
+    yy = np.real(np.kron(sy, sy))
+    rng = np.random.default_rng(43)
+    ms = np.array([random_symmetric(rng) for _ in range(100)])
+    lo, hi = -min_lambda_max(-ms, yy), min_lambda_max(ms, yy)
+    got = np.array([wt.bounds(m, NF.REAL) for m in ms])
+    np.testing.assert_allclose(got[:, 0], lo, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(got[:, 1], hi, rtol=0, atol=1e-10)
