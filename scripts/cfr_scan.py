@@ -4,6 +4,9 @@
 Columns: q, witness expectation, real-field distance, residual coefficient,
 complex-field distance, real certificate, complex certificate.
 
+Each state is the CLI's ``cfr:q=<q>,v=<visibility>`` spec, so the
+visibility gets the CLI's checks: one outside [0, 1] exits 2.
+
 Usage: python scripts/cfr_scan.py [--steps N] [--visibility V]
 """
 
@@ -11,22 +14,26 @@ import argparse
 
 import numpy as np
 
-from rebitkit import NumberField, cfr_state, decompose, evaluate_witness
+from rebitkit import NumberField, decompose, evaluate_witness
 from rebitkit import separability_certificate
+from rebitkit.cli import parse_state_spec
 from rebitkit.witness import SIGMA_YY
 
-MIXED = np.diag([1.0, 0.0, 0.0, 0.0])
 
-
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--steps", type=int, default=21)
     parser.add_argument("--visibility", type=float, default=1.0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+
+    try:
+        qs = np.linspace(0.0, 1.0, args.steps)
+        gammas = [parse_state_spec(f"cfr:q={float(q)!r},v={args.visibility!r}") for q in qs]
+    except ValueError as exc:
+        parser.error(str(exc))
 
     print("q,witness,real_distance,residual,complex_distance,real_sep,complex_sep")
-    for q in np.linspace(0.0, 1.0, args.steps):
-        gamma = args.visibility * cfr_state(q) + (1 - args.visibility) * MIXED
+    for q, gamma in zip(qs, gammas):
         verdict = evaluate_witness(gamma, SIGMA_YY)
         d_real, dist_real = decompose(gamma, NumberField.REAL)
         d_cplx, dist_cplx = decompose(gamma, NumberField.COMPLEX)

@@ -6,6 +6,9 @@ photon pairs (same-handed and opposite-handed), runs the full estimation,
 witnessing, and decomposition pipeline with Monte-Carlo error bars, and
 prints a compact results table.
 
+A visibility outside [0, 1] makes a mixture weight negative, which the
+CLI's spec parser rejects: the script then exits 2.
+
 Usage: python scripts/replicate_experiment.py [--events N] [--mc-samples N]
        [--visibility V] [--seed S] [--workdir DIR]
 """
@@ -20,28 +23,27 @@ from rebitkit import cli
 def run_one(tag, mix_spec, target, args, workdir):
     counts = os.path.join(workdir, f"counts_{tag}.txt")
     report = os.path.join(workdir, f"report_{tag}.json")
-    rc = cli.main(
+    for argv in (
         ["simulate", "--state", mix_spec, "--events", str(args.events),
-         "--seed", str(args.seed), "--out", counts]
-    )
-    assert rc == 0, "simulation failed"
-    rc = cli.main(
+         "--seed", str(args.seed), "--out", counts],
         ["analyze", "--counts", counts, "--target", target,
          "--mc-samples", str(args.mc_samples), "--seed", str(args.seed + 1),
-         "--out", report]
-    )
-    assert rc == 0, "analysis failed"
+         "--out", report],
+    ):
+        rc = cli.main(argv)
+        if rc:
+            raise SystemExit(rc)  # the CLI has printed the diagnostic
     return cli.read_report(report)
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--events", type=int, default=100_000)
     parser.add_argument("--mc-samples", type=int, default=10_000)
     parser.add_argument("--visibility", type=float, default=0.96)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--workdir", default=None, help="directory for output files")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     v = args.visibility
     w = v / 2.0
@@ -49,6 +51,11 @@ def main():
         ("q=1", f"mix:RR={w},LL={w},mixed={1 - v}", "cfr:q=1"),
         ("q=0", f"mix:RL={w},LR={w},mixed={1 - v}", "cfr:q=0"),
     ]
+    for _, mix_spec, _ in scenarios:
+        try:
+            cli.parse_state_spec(mix_spec)
+        except ValueError as exc:
+            parser.error(str(exc))
 
     workdir = args.workdir or tempfile.mkdtemp(prefix="rebitkit_")
     os.makedirs(workdir, exist_ok=True)

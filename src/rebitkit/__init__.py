@@ -26,8 +26,7 @@ from .quasiprob import (
     decompose,
     expansion_error,
     local_reconstruction,
-    pstd_qubit,
-    pstd_rebit,
+    pstd,
     separability_certificate,
     transform_quasi,
 )
@@ -77,8 +76,7 @@ __all__ = [
     "decompose",
     "expansion_error",
     "local_reconstruction",
-    "pstd_qubit",
-    "pstd_rebit",
+    "pstd",
     "separability_certificate",
     "transform_quasi",
     "LocalMapPair",

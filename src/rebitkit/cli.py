@@ -43,8 +43,6 @@ from .pauli_core import (
     similarity,
 )
 from .quasiprob import (
-    QUBIT_ALPHABET,
-    REBIT_ALPHABET,
     QuasiDecomposition,
     decompose,
     expansion_error,
@@ -275,20 +273,16 @@ def _decomposition_block(
     distance_sigma: float,
     residual_sigma: float,
 ) -> dict:
-    alphabet = REBIT_ALPHABET if d.field is NumberField.REAL else QUBIT_ALPHABET
     table = d.weight_table()
     table[np.abs(table) < 1e-12] = 0.0
-    # every entry of a label carries the same local state
-    alice = {a.label: a.bloch for a, _, _ in d.entries}
-    bob = {b.label: b.bloch for _, b, _ in d.entries}
     distance, distance_sigma, residual, residual_sigma = _round9(
         [distance, distance_sigma, d.residual_coeff, residual_sigma]
     )
     return {
-        "alphabet": list(alphabet),
+        "alphabet": list(d.alphabet),
         "weights": _round9(table),
-        "alice_states": dict(zip(alice, _round9(list(alice.values())))),
-        "bob_states": dict(zip(bob, _round9(list(bob.values())))),
+        "alice_states": dict(zip(d.alphabet, _round9(d.alice))),
+        "bob_states": dict(zip(d.alphabet, _round9(d.bob))),
         "distance": distance,
         "distance_sigma": distance_sigma,
         "residual_coeff": residual,

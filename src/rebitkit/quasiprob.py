@@ -10,6 +10,10 @@ decomposition exists exactly for separable states.
 General states are handled by reducing to standard form, decomposing
 there, and transporting the expansion back through the inverse local maps
 with the appropriate weight rescaling.
+
+A decomposition is held as arrays over the field's alphabet: an n x n
+weight table (Alice's label by row, Bob's by column) and Alice's and Bob's
+transformed local states as n x 4 Bloch rows, one per label.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .pauli_core import (
     IDX_X,
     IDX_Y,
     IDX_Z,
-    LocalState,
     NumberField,
     POLARIZATION_BLOCH,
     check_correlation,
@@ -33,29 +36,32 @@ from .standard_form import LocalMapPair, to_standard_form
 
 REBIT_ALPHABET = ("H", "V", "D", "A")
 QUBIT_ALPHABET = ("H", "V", "D", "A", "R", "L")
+_ALPHABET = {NumberField.REAL: REBIT_ALPHABET, NumberField.COMPLEX: QUBIT_ALPHABET}
 
 
 @dataclass
 class QuasiDecomposition:
     """Weighted expansion over product states, plus the unresolved residual.
 
-    ``residual_coeff`` is the coefficient of the y-y Pauli product that no
-    real-valued local expansion can reproduce; it is zero for the complex
-    field.
+    ``weights[i, j]`` weighs the product of Alice's state ``alice[i]`` and
+    Bob's state ``bob[j]``; row ``i`` of either side belongs to label
+    ``alphabet[i]``.  ``residual_coeff`` is the coefficient of the y-y Pauli
+    product that no real-valued local expansion can reproduce; it is zero
+    for the complex field.
     """
 
-    entries: list[tuple[LocalState, LocalState, float]]
+    weights: np.ndarray
+    alice: np.ndarray
+    bob: np.ndarray
     field: NumberField
     residual_coeff: float = 0.0
 
+    @property
+    def alphabet(self) -> tuple[str, ...]:
+        return _ALPHABET[self.field]
+
     def weight_table(self) -> np.ndarray:
-        alphabet = REBIT_ALPHABET if self.field is NumberField.REAL else QUBIT_ALPHABET
-        n = len(alphabet)
-        table = np.zeros((n, n))
-        index = {lab: i for i, lab in enumerate(alphabet)}
-        for alice, bob, weight in self.entries:
-            table[index[alice.label], index[bob.label]] += weight
-        return table
+        return self.weights.copy()
 
 
 def _check_diagonal(g_std: np.ndarray, tol: float) -> np.ndarray:
@@ -66,37 +72,22 @@ def _check_diagonal(g_std: np.ndarray, tol: float) -> np.ndarray:
     return g_std
 
 
-def pstd_rebit(g_std: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Closed-form weights over {H, V, D, A}^2 for a diagonal rebit state."""
-    g_std = _check_diagonal(g_std, tol)
-    gz = g_std[IDX_Z, IDX_Z]
-    gx = g_std[IDX_X, IDX_X]
-    uniform = (g_std[0, 0] - abs(gz) - abs(gx)) / 8.0
-    p = np.zeros((4, 4))
-    p[0:2, 0:2] = uniform
-    p[2:4, 2:4] = uniform
-    p[0:2, 0:2] += 0.25 * np.array(
-        [[abs(gz) + gz, abs(gz) - gz], [abs(gz) - gz, abs(gz) + gz]]
-    )
-    p[2:4, 2:4] += 0.25 * np.array(
-        [[abs(gx) + gx, abs(gx) - gx], [abs(gx) - gx, abs(gx) + gx]]
-    )
-    return p
+def pstd(g_std: np.ndarray, field: NumberField, tol: float = 1e-8) -> np.ndarray:
+    """Closed-form weights over the field's alphabet squared for a diagonal state.
 
-
-def pstd_qubit(g_std: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Closed-form weights over {H, V, D, A, R, L}^2 for a diagonal state."""
+    One 2x2 block per Pauli axis of the field: z and x, plus y over the complex numbers.
+    """
     g_std = _check_diagonal(g_std, tol)
-    gz = g_std[IDX_Z, IDX_Z]
-    gx = g_std[IDX_X, IDX_X]
-    gy = g_std[IDX_Y, IDX_Y]
-    q = (g_std[0, 0] - abs(gz) - abs(gx) - abs(gy)) / 12.0
-    p = np.zeros((6, 6))
-    for block, c in zip(range(3), (gz, gx, gy)):
+    axes = (IDX_Z, IDX_X) if field is NumberField.REAL else (IDX_Z, IDX_X, IDX_Y)
+    uniform = g_std[0, 0]
+    for axis in axes:
+        uniform -= abs(g_std[axis, axis])
+    uniform /= 4.0 * len(axes)
+    p = np.zeros((2 * len(axes), 2 * len(axes)))
+    for block, axis in enumerate(axes):
+        c = g_std[axis, axis]
         sl = slice(2 * block, 2 * block + 2)
-        p[sl, sl] = q + 0.25 * np.array(
-            [[abs(c) + c, abs(c) - c], [abs(c) - c, abs(c) + c]]
-        )
+        p[sl, sl] = uniform + 0.25 * (abs(c) + c * np.array([[1.0, -1.0], [-1.0, 1.0]]))
     return p
 
 
@@ -109,12 +100,10 @@ def transform_quasi(p_std: np.ndarray, maps: LocalMapPair) -> QuasiDecomposition
     """
     maps.validate()
     p_std = np.asarray(p_std, float)
-    if p_std.shape == (4, 4):
-        alphabet = REBIT_ALPHABET
-    elif p_std.shape == (6, 6):
-        alphabet = QUBIT_ALPHABET
-    else:
-        raise ValueError(f"weight table must be 4x4 or 6x6, got {p_std.shape}")
+    alphabet = _ALPHABET[maps.field]
+    n = len(alphabet)
+    if p_std.shape != (n, n):
+        raise ValueError(f"{maps.field.value} weight table must be {n}x{n}, got {p_std.shape}")
 
     columns = np.stack([POLARIZATION_BLOCH[lab] for lab in alphabet], axis=1)
     pulled = []
@@ -130,24 +119,21 @@ def transform_quasi(p_std: np.ndarray, maps: LocalMapPair) -> QuasiDecomposition
     total = sum(weights.ravel().tolist())  # in entry order, as local_reconstruction sums
     if abs(total) < 1e-12:
         raise ValueError("transformed weights sum to zero; cannot renormalize")
-    alice = [LocalState(v, lab) for v, lab in zip((va / va[0]).T.copy(), alphabet)]
-    bob = [LocalState(v, lab) for v, lab in zip((vb / vb[0]).T.copy(), alphabet)]
-    entries = [
-        (a, b, w)
-        for a, row in zip(alice, (weights / total).tolist())
-        for b, w in zip(bob, row)
-    ]
-    return QuasiDecomposition(entries=entries, field=maps.field)
+    return QuasiDecomposition(
+        weights=weights / total, alice=(va / va[0]).T, bob=(vb / vb[0]).T, field=maps.field
+    )
 
 
 def local_reconstruction(d: QuasiDecomposition) -> np.ndarray:
     """Correlation matrix of the expansion: sum of weighted Bloch outer products."""
-    total = sum(w for _, _, w in d.entries)
+    # one product per entry, Alice's label outermost: alice.T @ weights @ bob rounds otherwise
+    weights = d.weights.ravel()
+    total = sum(weights.tolist())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"weights sum to {total!r}, expected 1")
-    alice = np.array([a.bloch for a, _, _ in d.entries])
-    bob = np.array([b.bloch for _, b, _ in d.entries])
-    weights = np.array([w for _, _, w in d.entries])
+    n = len(d.weights)
+    alice = np.repeat(d.alice, n, axis=0)
+    bob = np.tile(d.bob, (n, 1))
     return (alice.T * weights) @ bob
 
 
@@ -165,11 +151,7 @@ def decompose(
     """
     g = check_correlation(g)
     sf = to_standard_form(g, field, rank_tol=rank_tol)
-    if field is NumberField.REAL:
-        p_std = pstd_rebit(sf.gamma_std)
-    else:
-        p_std = pstd_qubit(sf.gamma_std)
-    decomposition = transform_quasi(p_std, sf.maps)
+    decomposition = transform_quasi(pstd(sf.gamma_std, field), sf.maps)
     reconstruction = local_reconstruction(decomposition)
     distance = hs_distance(g, reconstruction)
     if field is NumberField.REAL:
@@ -200,6 +182,6 @@ def separability_certificate(d: QuasiDecomposition, tol: float = DEFAULT_TOL) ->
     leave the residual y-y coefficient behind, so any nonvanishing
     residual disqualifies.
     """
-    if any(w < -tol for _, _, w in d.entries):
+    if d.weights.min() < -tol:
         return False
     return abs(d.residual_coeff) <= tol

@@ -298,16 +298,14 @@ def bounds(
     obs: DiagObservable | np.ndarray,
     field: NumberField,
     n_starts: int = 64,
-    seed: int = 0,
 ) -> tuple[float, float]:
     """Minimal and maximal separability eigenvalue for the given field.
 
     Pauli-diagonal observables use the closed form: +-max{|lz|, |lx|} over
     the reals, extended by |ly| over the complex numbers.  General
     symmetric matrices take the same input checks and solver as
-    ``numeric_separability_eigs`` (``seed`` has no effect), and the
-    extremes come straight from the solver's value array, with no
-    deduplication and no pair objects.
+    ``numeric_separability_eigs``, and the extremes come straight from
+    the solver's value array, with no deduplication and no pair objects.
     """
     if isinstance(obs, DiagObservable):
         if field is NumberField.REAL:

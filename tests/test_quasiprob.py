@@ -20,9 +20,19 @@ def rebit_table_oracle(gz, gx):
     return t
 
 
+def basis_decomposition(weighted_pairs, field):
+    """Decomposition over the field's unmapped basis states with the given pair weights."""
+    alphabet = qp.REBIT_ALPHABET if field is NF.REAL else qp.QUBIT_ALPHABET
+    bloch = np.array([pc.POLARIZATION_BLOCH[lab] for lab in alphabet])
+    weights = np.zeros((len(alphabet), len(alphabet)))
+    for la, lb, w in weighted_pairs:
+        weights[alphabet.index(la), alphabet.index(lb)] += w
+    return qp.QuasiDecomposition(weights, bloch, bloch.copy(), field)
+
+
 def test_pstd_rebit_cfr_uniform_eighths():
     for g in (pc.cfr_state(1.0), np.diag([1.0, 0, 0, 0])):
-        p = qp.pstd_rebit(g)
+        p = qp.pstd(g, NF.REAL)
         expected = np.zeros((4, 4))
         expected[:2, :2] = 0.125
         expected[2:, 2:] = 0.125
@@ -32,7 +42,7 @@ def test_pstd_rebit_cfr_uniform_eighths():
 
 def test_pstd_rebit_bell_like_negative():
     g = np.diag([1.0, 1.0, -1.0, 0.0])
-    p = qp.pstd_rebit(g)
+    p = qp.pstd(g, NF.REAL)
     np.testing.assert_allclose(p, rebit_table_oracle(1.0, -1.0), atol=1e-15)
     # uniform term is (1 - 1 - 1)/8 = -1/8
     assert p[0, 1] == pytest.approx(-0.125)
@@ -44,18 +54,18 @@ def test_pstd_rebit_rejects_offdiagonal():
     g = pc.cfr_state(1.0)
     g[0, 1] = 0.2
     with pytest.raises(ValueError, match="standard form"):
-        qp.pstd_rebit(g)
+        qp.pstd(g, NF.REAL)
 
 
 def test_pstd_qubit_cfr():
-    p = qp.pstd_qubit(pc.cfr_state(1.0))
+    p = qp.pstd(pc.cfr_state(1.0), NF.COMPLEX)
     expected = np.zeros((6, 6))
     expected[4, 4] = expected[5, 5] = 0.5
     np.testing.assert_allclose(p, expected, atol=1e-15)
 
 
 def test_pstd_qubit_mixed_twelfths():
-    p = qp.pstd_qubit(np.diag([1.0, 0, 0, 0]))
+    p = qp.pstd(np.diag([1.0, 0, 0, 0]), NF.COMPLEX)
     expected = np.zeros((6, 6))
     for b in range(3):
         expected[2 * b : 2 * b + 2, 2 * b : 2 * b + 2] = 1.0 / 12.0
@@ -64,7 +74,7 @@ def test_pstd_qubit_mixed_twelfths():
 
 def test_pstd_qubit_bell():
     # Q = 1 - 1 - 1 - 1 = -2: uniform -1/6 plus 1/2 on the aligned slots
-    p = qp.pstd_qubit(np.diag([1.0, 1.0, 1.0, -1.0]))
+    p = qp.pstd(np.diag([1.0, 1.0, 1.0, -1.0]), NF.COMPLEX)
     assert p[0, 0] == pytest.approx(-1 / 6 + 1 / 2)  # (H, H)
     assert p[0, 1] == pytest.approx(-1 / 6)          # (H, V)
     assert p[4, 5] == pytest.approx(-1 / 6 + 1 / 2)  # (R, L)
@@ -78,8 +88,8 @@ def test_pstd_qubit_bell():
 def test_weight_normalization_random_diagonals(seed):
     rng = np.random.default_rng(seed)
     g = random_standard_form_gamma(rng)
-    assert qp.pstd_rebit(g).sum() == pytest.approx(1.0, abs=1e-12)
-    assert qp.pstd_qubit(g).sum() == pytest.approx(1.0, abs=1e-12)
+    assert qp.pstd(g, NF.REAL).sum() == pytest.approx(1.0, abs=1e-12)
+    assert qp.pstd(g, NF.COMPLEX).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pstd_reconstructs_standard_form():
@@ -87,7 +97,7 @@ def test_pstd_reconstructs_standard_form():
     for _ in range(20):
         g = random_standard_form_gamma(rng)
         # qubit expansion resolves everything
-        p = qp.pstd_qubit(g)
+        p = qp.pstd(g, NF.COMPLEX)
         rec = np.zeros((4, 4))
         for i, la in enumerate(qp.QUBIT_ALPHABET):
             for j, lb in enumerate(qp.QUBIT_ALPHABET):
@@ -96,7 +106,7 @@ def test_pstd_reconstructs_standard_form():
                 )
         np.testing.assert_allclose(rec, g, atol=1e-12)
         # rebit expansion resolves everything but the y-y entry
-        p = qp.pstd_rebit(g)
+        p = qp.pstd(g, NF.REAL)
         rec = np.zeros((4, 4))
         for i, la in enumerate(qp.REBIT_ALPHABET):
             for j, lb in enumerate(qp.REBIT_ALPHABET):
@@ -109,12 +119,13 @@ def test_pstd_reconstructs_standard_form():
 
 
 def test_transform_identity_maps():
-    p = qp.pstd_qubit(pc.cfr_state(1.0))
+    p = qp.pstd(pc.cfr_state(1.0), NF.COMPLEX)
     maps = sf.LocalMapPair(np.eye(4), np.eye(4), NF.COMPLEX)
     d = qp.transform_quasi(p, maps)
     np.testing.assert_allclose(d.weight_table(), p, atol=1e-15)
-    for alice, bob, _ in d.entries:
-        np.testing.assert_array_equal(alice.bloch, pc.POLARIZATION_BLOCH[alice.label])
+    basis = np.array([pc.POLARIZATION_BLOCH[lab] for lab in d.alphabet])
+    np.testing.assert_array_equal(d.alice, basis)
+    np.testing.assert_array_equal(d.bob, basis)
 
 
 def test_transform_filter_rescales_weights():
@@ -122,12 +133,11 @@ def test_transform_filter_rescales_weights():
     # time components and renormalize
     a_map = np.diag([1.0, 2.0, 2.0, 2.0])
     maps = sf.LocalMapPair(a_map, np.eye(4), NF.COMPLEX)
-    p = qp.pstd_qubit(np.diag([1.0, 0, 0, 0]))
+    p = qp.pstd(np.diag([1.0, 0, 0, 0]), NF.COMPLEX)
     d = qp.transform_quasi(p, maps)
-    assert sum(w for _, _, w in d.entries) == pytest.approx(1.0, abs=1e-12)
+    assert d.weights.sum() == pytest.approx(1.0, abs=1e-12)
     # oracle: every pulled-back component is (1, +-1/2, ...) with time part 1
-    for alice, _, _ in d.entries:
-        assert alice.bloch[0] == pytest.approx(1.0)
+    assert d.alice[:, 0] == pytest.approx(np.ones(6))
 
 
 def test_transform_annihilation_error():
@@ -135,16 +145,13 @@ def test_transform_annihilation_error():
     a_map = np.eye(4)
     a_map[0, 1] = -1.0  # inverse maps (1, 1, 0, 0) -> (0, ...)
     maps = sf.LocalMapPair(a_map, np.eye(4), NF.COMPLEX)
-    p = qp.pstd_qubit(np.diag([1.0, 0, 0, 0]))
+    p = qp.pstd(np.diag([1.0, 0, 0, 0]), NF.COMPLEX)
     with pytest.raises(ValueError, match="annihilates"):
         qp.transform_quasi(p, maps)
 
 
 def test_local_reconstruction_single_entry():
-    d = qp.QuasiDecomposition(
-        entries=[(pc.polarization_state("H"), pc.polarization_state("H"), 1.0)],
-        field=NF.REAL,
-    )
+    d = basis_decomposition([("H", "H", 1.0)], NF.REAL)
     rec = qp.local_reconstruction(d)
     np.testing.assert_array_equal(
         rec, np.outer(pc.POLARIZATION_BLOCH["H"], pc.POLARIZATION_BLOCH["H"])
@@ -185,7 +192,7 @@ def test_decompose_mixed_both_fields():
 def test_decompose_bell_complex_negative_weights():
     d, dist = qp.decompose(np.diag([1.0, 1.0, 1.0, -1.0]), NF.COMPLEX)
     assert dist < 1e-12
-    assert min(w for _, _, w in d.entries) < -1e-3
+    assert d.weights.min() < -1e-3
     assert not qp.separability_certificate(d)
 
 
@@ -203,10 +210,9 @@ def test_decompose_local_states_are_pure(field):
     rng = np.random.default_rng(13)
     for _ in range(80):
         d, _ = qp.decompose(random_full_rank_gamma(rng, w_min=0.01), field)
-        for alice, bob, _ in d.entries:
-            for state in (alice, bob):
-                assert state.bloch[0] == 1.0
-                assert abs(np.linalg.norm(state.bloch[1:]) - 1.0) < 1e-9
+        for state in np.concatenate([d.alice, d.bob]):
+            assert state[0] == 1.0
+            assert abs(np.linalg.norm(state[1:]) - 1.0) < 1e-9
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
@@ -222,9 +228,8 @@ def test_decompose_states_of_every_rank(field, rank):
         closed_dist, closed_residual = qp.expansion_error(g, field)
         assert abs(dist - closed_dist) < 1e-9
         assert abs(d.residual_coeff - closed_residual) < 1e-12
-        for alice, bob, _ in d.entries:
-            for state in (alice, bob):
-                assert abs(np.linalg.norm(state.bloch[1:]) - 1.0) < 1e-9
+        for state in np.concatenate([d.alice, d.bob]):
+            assert abs(np.linalg.norm(state[1:]) - 1.0) < 1e-9
 
 
 def test_rebit_distance_identity_standard_form():
@@ -255,7 +260,7 @@ def test_transform_commutes_with_map_application():
     for _ in range(10):
         g = random_full_rank_gamma(rng)
         result = sf.to_standard_form(g, NF.COMPLEX)
-        p = qp.pstd_qubit(result.gamma_std)
+        p = qp.pstd(result.gamma_std, NF.COMPLEX)
         d = qp.transform_quasi(p, result.maps)
         path_one = qp.local_reconstruction(d)
         std_rec = np.zeros((4, 4))
@@ -269,13 +274,7 @@ def test_transform_commutes_with_map_application():
 
 
 def test_certificate_tolerates_tiny_negativity():
-    d = qp.QuasiDecomposition(
-        entries=[
-            (pc.polarization_state("H"), pc.polarization_state("H"), 1.0 + 1e-12),
-            (pc.polarization_state("V"), pc.polarization_state("V"), -1e-12),
-        ],
-        field=NF.COMPLEX,
-    )
+    d = basis_decomposition([("H", "H", 1.0 + 1e-12), ("V", "V", -1e-12)], NF.COMPLEX)
     assert qp.separability_certificate(d, tol=1e-9)
     assert not qp.separability_certificate(d, tol=1e-15)
 
@@ -343,20 +342,23 @@ def test_batched_transport_matches_per_entry_reference(field):
     rng = np.random.default_rng(16)
     rebit = field is NF.REAL
     alphabet = qp.REBIT_ALPHABET if rebit else qp.QUBIT_ALPHABET
-    pstd = qp.pstd_rebit if rebit else qp.pstd_qubit
+    n = len(alphabet)
     for _ in range(30):
         maps = sf.LocalMapPair(
             random_invertible_bloch_map(rng, rebit), random_invertible_bloch_map(rng, rebit), field
         )
-        p = pstd(random_standard_form_gamma(rng))
+        p = qp.pstd(random_standard_form_gamma(rng), field)
         d = qp.transform_quasi(p, maps)
         ref = reference_transform_quasi(p, maps, alphabet)
-        assert len(d.entries) == len(ref) == len(alphabet) ** 2
-        for (alice, bob, w), (va, la, vb, lb, w_ref) in zip(d.entries, ref):
-            assert (alice.label, bob.label) == (la, lb)
-            np.testing.assert_allclose(alice.bloch, va, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(bob.bloch, vb, rtol=1e-12, atol=1e-12)
-            assert w == pytest.approx(w_ref, rel=1e-12, abs=1e-12)
+        assert d.alphabet == alphabet
+        assert d.weights.shape == (n, n) and d.alice.shape == d.bob.shape == (n, 4)
+        assert len(ref) == n**2
+        for k, (va, la, vb, lb, w_ref) in enumerate(ref):
+            i, j = divmod(k, n)
+            assert (d.alphabet[i], d.alphabet[j]) == (la, lb)
+            np.testing.assert_allclose(d.alice[i], va, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(d.bob[j], vb, rtol=1e-12, atol=1e-12)
+            assert d.weights[i, j] == pytest.approx(w_ref, rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(
             qp.local_reconstruction(d), reference_reconstruction(ref), rtol=1e-12, atol=1e-12
         )
@@ -366,13 +368,23 @@ def test_transform_annihilation_error_names_label_and_side():
     b_map = np.eye(4)
     b_map[0, 2] = -1.0  # inverse maps A = (1, 0, -1, 0) -> (0, ...)
     maps = sf.LocalMapPair(np.eye(4), b_map, NF.REAL)
-    p = qp.pstd_rebit(np.diag([1.0, 0, 0, 0]))
+    p = qp.pstd(np.diag([1.0, 0, 0, 0]), NF.REAL)
     with pytest.raises(ValueError, match="basis state 'A' on Bob's side"):
         qp.transform_quasi(p, maps)
 
 
 def test_local_reconstruction_rejects_unnormalized_weights():
-    h = pc.polarization_state("H")
-    d = qp.QuasiDecomposition(entries=[(h, h, 0.5), (h, h, 0.4)], field=NF.REAL)
+    d = basis_decomposition([("H", "H", 0.5), ("H", "H", 0.4)], NF.REAL)
     with pytest.raises(ValueError, match="expected 1"):
         qp.local_reconstruction(d)
+
+
+@pytest.mark.parametrize(
+    "size, field", [(4, NF.COMPLEX), (6, NF.REAL), (5, NF.REAL), (5, NF.COMPLEX)]
+)
+def test_transform_rejects_table_size_not_matching_field(size, field):
+    # the field names the labels, so the table must be 4x4 (real) or 6x6 (complex)
+    maps = sf.LocalMapPair(np.eye(4), np.eye(4), field)
+    want = 4 if field is NF.REAL else 6
+    with pytest.raises(ValueError, match=f"{field.value} weight table must be {want}x{want}"):
+        qp.transform_quasi(np.full((size, size), 1.0 / size**2), maps)

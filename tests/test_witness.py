@@ -164,7 +164,7 @@ def test_numeric_general_symmetric_within_sampled_bounds():
     rng = np.random.default_rng(5)
     m = rng.normal(size=(4, 4))
     m = (m + m.T) / 2
-    lo, hi = wt.bounds(m, NF.COMPLEX, n_starts=24, seed=2)
+    lo, hi = wt.bounds(m, NF.COMPLEX, n_starts=24)
     vals = []
     for _ in range(2000):
         a = rng.normal(size=2) + 1j * rng.normal(size=2)
