@@ -175,6 +175,27 @@ def parse_state_spec(spec: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # counts file format
 
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path``, overwriting in place (not atomic).
+
+    Creates a missing file with mode 0o666 less the umask, as ``open`` does,
+    but does not truncate an existing one first: where freed blocks are
+    discarded, as on ext4 mounted with ``discard``, truncating a file that
+    holds data costs several times the write.  Only a longer old tail is
+    cut, after the write; a FIFO or a device has size 0 and is never cut.
+    """
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if os.fstat(fd).st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def write_counts(path: str, dataset: CountsDataset, meta: dict[str, str] | None = None) -> None:
     dataset.validate()
     lines = ["# rebitkit counts v1"]
@@ -185,8 +206,7 @@ def write_counts(path: str, dataset: CountsDataset, meta: dict[str, str] | None 
         for b in BASES:
             counts = dataset.settings[(a, b)]
             lines.append(f"{a} {b} {counts[0]} {counts[1]} {counts[2]} {counts[3]}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_counts(path: str) -> CountsDataset:
@@ -424,8 +444,7 @@ def write_report(path: str, report: ReportDocument) -> None:
     for fld, block in report.decompositions.items():
         texts.append((f"{base}.quasi_{fld.value}.csv", _quasi_csv(block)))
     for target, text in texts:
-        with open(target, "w") as fh:
-            fh.write(text)
+        _write_text(target, text)
 
 
 def read_report(path: str) -> dict:
@@ -452,9 +471,12 @@ def _parse_fields(text: str) -> list[NumberField]:
         if not part:
             continue
         try:
-            fields.append(NumberField(part))
+            fld = NumberField(part)
         except ValueError:
             raise ValueError(f"unknown field {part!r}; use real and/or complex") from None
+        if fld in fields:
+            raise ValueError(f"duplicate field {part!r} in {text!r}; name each field once")
+        fields.append(fld)
     if not fields:
         raise ValueError("no fields requested")
     return fields
@@ -523,6 +545,7 @@ def _report_summary(report: ReportDocument) -> str:
             f"{fld.value} decomposition: distance {block['distance']:.9g} "
             f"+- {block['distance_sigma']:.9g}, separable: {block['certificate']}"
         )
+    lines.append(f"estimate repaired: {report.provenance['estimate_repaired']}")
     return "\n".join(lines)
 
 

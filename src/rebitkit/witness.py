@@ -136,6 +136,13 @@ def _unit(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     return np.where(n > 0.0, v / np.maximum(n, 1e-300), fallback)
 
 
+def _gradient(lam: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Reduced operators c, d, the values a.d, b.c and the gradient rows on the spheres."""
+    c, d = _reduced_bob(lam, a), _reduced_alice(lam, b)
+    ad, bc = np.sum(a * d, axis=1, keepdims=True), np.sum(b * c, axis=1, keepdims=True)
+    return c, d, ad, bc, np.hstack([d - ad * a, c - bc * b])
+
+
 def _newton(lam: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float):
     """Riemannian Newton steps towards stationary points of (1, a)^T lam (1, b).
 
@@ -149,9 +156,7 @@ def _newton(lam: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float):
     n, steps = a.shape[1], 8
     eye = np.eye(n)
     for step in range(steps + 1):
-        c, d = _reduced_bob(lam, a), _reduced_alice(lam, b)
-        ad, bc = np.sum(a * d, axis=1, keepdims=True), np.sum(b * c, axis=1, keepdims=True)
-        grad = np.hstack([d - ad * a, c - bc * b])
+        c, d, ad, bc, grad = _gradient(lam, a, b)
         residual = np.linalg.norm(grad, axis=1)
         rows = np.flatnonzero(residual >= tol)
         if step == steps or not rows.size:
@@ -208,6 +213,11 @@ def _correlation(obs: np.ndarray, n_starts: int) -> np.ndarray:
     return np.real(np.einsum("ij,mnji->mn", obs, KRON))
 
 
+# a real track enters Newton only when its start meets the equations, or
+# Bob's reduced operator vanishes, to this tolerance (scaled by ||L|| + 1)
+_REAL_START_TOL = 1e-6
+
+
 def _scale(lam: np.ndarray) -> float:
     return 0.5 * np.linalg.norm(lam) + 1.0  # ||L|| + 1, as ||lam|| = 2 ||L||
 
@@ -235,6 +245,16 @@ def _stationary_rows(lam: np.ndarray, field: NumberField, n_starts: int):
         b = _unit(sign * _reduced_bob(lam, a), b)
         a = _unit(sign * _reduced_alice(lam, b), a)
     b = _unit(sign * _reduced_bob(lam, a), b)
+    if field is NumberField.REAL:
+        # at a root one of Bob's responses +-c/|c| is stationary and the
+        # other is not.  Newton takes the other track, and those from t0
+        # when t0 is no root, to solutions that stationary tracks hold, or
+        # by chance to one at which c vanishes.  Where c vanishes at the
+        # start, Bob's response is undetermined, so both tracks stay
+        c, _, _, _, grad = _gradient(lam, a, b)
+        off = np.minimum(np.linalg.norm(grad, axis=1), np.linalg.norm(c, axis=1))
+        keep = off < _REAL_START_TOL * scale
+        a, b = a[keep], b[keep]
     a, b, c, d, residual = _newton(lam, a, b, tol)
     values = 0.25 * (lam[0, 0] + a @ lam[1:, 0] + np.sum(b * c, axis=1)) + 0.0  # never -0.0
     degenerate = np.minimum(np.linalg.norm(c, axis=1), np.linalg.norm(d, axis=1)) < 1e-9 * scale

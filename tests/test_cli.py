@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -160,6 +162,26 @@ def test_analyze_fields_filter(tmp_path):
     doc = cli.read_report(str(out))
     assert "real" not in doc["decompositions"]
     assert "complex" in doc["decompositions"]
+
+
+@pytest.mark.parametrize("fields, name", [
+    ("real,real", "real"), ("complex, COMPLEX", "complex"), ("real,complex,real", "real"),
+])
+def test_fields_named_twice_exit_2(tmp_path, capsys, fields, name):
+    out = tmp_path / "r.json"
+    assert cli.main(["exact", "--state", "cfr:q=1", "--fields", fields, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: duplicate field {name!r}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("state, repaired", [("gamma:{clipped}", True), ("cfr:q=1", False)])
+def test_summary_shows_estimate_repaired(tmp_path, capsys, state, repaired):
+    # diag(1, 1, 1, 1) has a negative eigenvalue, so the estimate is clipped
+    clipped = _write_gamma(tmp_path / "g.txt", np.eye(4))
+    out = tmp_path / "r.json"
+    assert cli.main(["exact", "--state", state.format(clipped=clipped), "--out", str(out)]) == 0
+    assert cli.read_report(str(out))["provenance"]["estimate_repaired"] is repaired
+    assert capsys.readouterr().out.splitlines()[-1] == f"estimate repaired: {repaired}"
 
 
 def test_analyze_full_report(tmp_path):
@@ -462,6 +484,68 @@ def test_non_finite_report_value_opens_no_file(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith(f"error: report {out} not written: Out of range float values")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_non_finite_report_value_keeps_existing_report(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "r.json"
+    assert cli.main(["exact", "--state", "cfr:q=1", "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.setattr(cli, "similarity", lambda g, target: np.inf)
+    assert cli.main(["exact", "--state", "cfr:q=0.5", "--target", "cfr:q=1",
+                     "--out", str(out)]) == 2
+    assert "not written: Out of range float values" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+_REPORT_SUFFIXES = (".json", ".quasi_real.csv", ".quasi_complex.csv")
+
+
+def _report_files(out) -> list[bytes]:
+    return [out.with_name(out.stem + suffix).read_bytes() for suffix in _REPORT_SUFFIXES]
+
+
+@pytest.mark.parametrize("first, second", [
+    (["bell:phi+", "--observable", "1,1,0"], ["cfr:q=0.3"]),
+    (["cfr:q=0.3"], ["bell:phi+", "--observable", "1,1,0"]),
+])
+def test_report_rewrite_in_place_equals_fresh_write(tmp_path, first, second):
+    out, fresh = tmp_path / "r.json", tmp_path / "fresh.json"
+    assert cli.main(["exact", "--state", *first, "--out", str(out)]) == 0
+    old_sizes = [len(b) for b in _report_files(out)]
+    assert cli.main(["exact", "--state", *second, "--out", str(out)]) == 0
+    assert cli.main(["exact", "--state", *second, "--out", str(fresh)]) == 0
+    rewritten = _report_files(out)
+    assert [len(b) for b in rewritten] != old_sizes
+    assert rewritten == _report_files(fresh)
+    assert _strict_json(rewritten[0].decode())["provenance"]["state"] == second[0]
+
+
+def test_counts_rewrite_in_place_equals_fresh_write(tmp_path):
+    path, fresh = tmp_path / "c.txt", tmp_path / "fresh.txt"
+    long, short = "mix:RR=0.25,LL=0.25,HV=0.25,mixed=0.25", "cfr:q=1"
+    for state, out in ((long, path), (short, path), (short, fresh)):
+        assert cli.main(["simulate", "--state", state, "--events", "100", "--seed", "1",
+                         "--out", str(out)]) == 0
+    assert path.read_bytes() == fresh.read_bytes()
+    # a new file gets the mode a text-mode open would give it
+    plain = tmp_path / "plain.txt"
+    with open(plain, "w"):
+        pass
+    assert fresh.stat().st_mode == plain.stat().st_mode
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_write_text_to_fifo_delivers_every_byte(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    text = "rebitkit ψ\n" * 10_000  # more than a pipe buffer holds
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    cli._write_text(str(fifo), text)
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [text.encode()]
 
 
 def _write_gamma(path, gamma):

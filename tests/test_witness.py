@@ -392,3 +392,46 @@ def test_real_bounds_match_rebit_duals():
     got = np.array([wt.bounds(m, NF.REAL) for m in ms])
     np.testing.assert_allclose(got[:, 0], lo, rtol=0, atol=1e-10)
     np.testing.assert_allclose(got[:, 1], hi, rtol=0, atol=1e-10)
+
+
+def witness_workload_observables():
+    """The benchmark's witness observables, both signs: one general, two Pauli-diagonal."""
+    rng = np.random.default_rng(2021)
+    for _ in range(9):
+        draw = rng.normal(size=(4, 4))
+    ms = [(draw + draw.T) / 2, wt.DiagObservable(0.8, -0.5, 0.3).matrix(), wt.SIGMA_YY.matrix()]
+    return [sign * m for sign in (1.0, -1.0) for m in ms]
+
+
+def test_real_start_pruning_keeps_bounds_and_pairs(monkeypatch):
+    # the reference lets every real track, stationary at its start or not, into Newton
+    rng = np.random.default_rng(29)
+    ms = [random_symmetric(rng) for _ in range(150)] + witness_workload_observables()
+    pruned = [(wt.bounds(m, NF.REAL), wt.numeric_separability_eigs(m, NF.REAL)) for m in ms]
+    monkeypatch.setattr(wt, "_REAL_START_TOL", np.inf)
+    for m, (got, pairs) in zip(ms, pruned):
+        np.testing.assert_allclose(got, wt.bounds(m, NF.REAL), rtol=0, atol=1e-14)
+        ref = wt.numeric_separability_eigs(m, NF.REAL)
+        assert [p.degenerate for p in pairs] == [p.degenerate for p in ref]
+        np.testing.assert_allclose([p.value for p in pairs], [p.value for p in ref],
+                                   rtol=0, atol=1e-9)
+        for p, q in zip(pairs, ref):
+            if not p.degenerate:
+                np.testing.assert_allclose(p.alice.bloch, q.alice.bloch, rtol=0, atol=1e-6)
+                np.testing.assert_allclose(p.bob.bloch, q.bob.bloch, rtol=0, atol=1e-6)
+
+
+def test_real_tracks_entering_newton_all_converge(monkeypatch):
+    # a real track that Newton cannot bring to the equations is wasted work
+    residuals, newton_steps = [], wt._newton
+
+    def newton(lam, a, b, tol):
+        out = newton_steps(lam, a, b, tol)
+        residuals.append(out[-1] / tol)
+        return out
+
+    monkeypatch.setattr(wt, "_newton", newton)
+    rng = np.random.default_rng(37)
+    for m in [random_symmetric(rng) for _ in range(50)] + witness_workload_observables():
+        wt.bounds(m, NF.REAL)
+    assert len(residuals) == 56 and max(r.max() for r in residuals) < 1.0
