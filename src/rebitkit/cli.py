@@ -44,7 +44,7 @@ from .pauli_core import (
 )
 from .quasiprob import (
     QuasiDecomposition,
-    decompose,
+    _decompose,
     expansion_error,
     separability_certificate,
 )
@@ -334,7 +334,8 @@ def run_analysis(
     gamma_phys = repair_to_physical(gamma)
     repaired = not np.array_equal(gamma_phys, gamma)
 
-    results = {fld: decompose(gamma_phys, fld) for fld in fields}
+    # the repair is checked and physical: decompose it without checking again
+    results = {fld: _decompose(gamma_phys, fld) for fld in fields}
     sigmas = np.zeros(2 * len(fields) + (target_gamma is not None))
     mc_block = None
     if mc_samples and estimated.sigma.max() > 0.0:

@@ -32,11 +32,14 @@ from .pauli_core import (
     check_correlation,
     hs_distance,
 )
-from .standard_form import LocalMapPair, to_standard_form
+from .standard_form import LocalMapPair, _check_physical, _to_standard_form
 
 REBIT_ALPHABET = ("H", "V", "D", "A")
 QUBIT_ALPHABET = ("H", "V", "D", "A", "R", "L")
 _ALPHABET = {NumberField.REAL: REBIT_ALPHABET, NumberField.COMPLEX: QUBIT_ALPHABET}
+# Bloch vectors of each field's alphabet, one column per label
+_COLUMNS = {fld: np.stack([POLARIZATION_BLOCH[lab] for lab in alphabet], axis=1)
+            for fld, alphabet in _ALPHABET.items()}
 
 
 @dataclass
@@ -47,7 +50,8 @@ class QuasiDecomposition:
     Bob's state ``bob[j]``; row ``i`` of either side belongs to label
     ``alphabet[i]``.  ``residual_coeff`` is the coefficient of the y-y Pauli
     product that no real-valued local expansion can reproduce; it is zero
-    for the complex field.
+    for the complex field.  ``distance`` is the Hilbert-Schmidt distance of
+    the expansion to the decomposed state; ``decompose`` sets both.
     """
 
     weights: np.ndarray
@@ -55,6 +59,7 @@ class QuasiDecomposition:
     bob: np.ndarray
     field: NumberField
     residual_coeff: float = 0.0
+    distance: float = 0.0
 
     @property
     def alphabet(self) -> tuple[str, ...]:
@@ -64,20 +69,19 @@ class QuasiDecomposition:
         return self.weights.copy()
 
 
-def _check_diagonal(g_std: np.ndarray, tol: float) -> np.ndarray:
-    g_std = check_correlation(g_std, tol)
-    off = np.abs(g_std - np.diag(np.diag(g_std))).max()
-    if off > tol:
-        raise ValueError(f"input is not in standard form (off-diagonal {off:.3e})")
-    return g_std
-
-
 def pstd(g_std: np.ndarray, field: NumberField, tol: float = 1e-8) -> np.ndarray:
     """Closed-form weights over the field's alphabet squared for a diagonal state.
 
     One 2x2 block per Pauli axis of the field: z and x, plus y over the complex numbers.
     """
-    g_std = _check_diagonal(g_std, tol)
+    g_std = check_correlation(g_std, tol)
+    off = np.abs(g_std - np.diag(np.diag(g_std))).max()
+    if off > tol:
+        raise ValueError(f"input is not in standard form (off-diagonal {off:.3e})")
+    return _pstd(g_std, field)
+
+
+def _pstd(g_std: np.ndarray, field: NumberField) -> np.ndarray:
     axes = (IDX_Z, IDX_X) if field is NumberField.REAL else (IDX_Z, IDX_X, IDX_Y)
     uniform = g_std[0, 0]
     for axis in axes:
@@ -100,15 +104,17 @@ def transform_quasi(p_std: np.ndarray, maps: LocalMapPair) -> QuasiDecomposition
     """
     maps.validate()
     p_std = np.asarray(p_std, float)
-    alphabet = _ALPHABET[maps.field]
-    n = len(alphabet)
+    n = len(_ALPHABET[maps.field])
     if p_std.shape != (n, n):
         raise ValueError(f"{maps.field.value} weight table must be {n}x{n}, got {p_std.shape}")
+    return _transform(p_std, maps)
 
-    columns = np.stack([POLARIZATION_BLOCH[lab] for lab in alphabet], axis=1)
+
+def _transform(p_std: np.ndarray, maps: LocalMapPair) -> QuasiDecomposition:
+    alphabet = _ALPHABET[maps.field]
     pulled = []
     for side, m in (("Alice", maps.a_map), ("Bob", maps.b_map)):
-        v = np.linalg.solve(m, columns)
+        v = np.linalg.solve(m, _COLUMNS[maps.field])
         small = np.abs(v[0]) < 1e-12
         if small.any():
             lab = alphabet[int(np.argmax(small))]
@@ -149,11 +155,19 @@ def decompose(
     of the input, but the distance and the residual y-y coefficient are
     measured against the state actually given.
     """
-    g = check_correlation(g)
-    sf = to_standard_form(g, field, rank_tol=rank_tol)
-    decomposition = transform_quasi(pstd(sf.gamma_std, field), sf.maps)
+    return _decompose(_check_physical(g), field, rank_tol)
+
+
+def _decompose(
+    g: np.ndarray, field: NumberField, rank_tol: float = 1e-6
+) -> tuple[QuasiDecomposition, float]:
+    """``decompose`` of a physical ``g``, unchecked."""
+    sf = _to_standard_form(g, field, rank_tol)
+    if sf.residual_offdiag > 1e-8:  # pstd's check
+        raise ValueError(f"input is not in standard form (off-diagonal {sf.residual_offdiag:.3e})")
+    decomposition = _transform(_pstd(sf.gamma_std, field), sf.maps)
     reconstruction = local_reconstruction(decomposition)
-    distance = hs_distance(g, reconstruction)
+    decomposition.distance = distance = float(hs_distance(g, reconstruction))
     if field is NumberField.REAL:
         decomposition.residual_coeff = float(
             (g[IDX_Y, IDX_Y] - reconstruction[IDX_Y, IDX_Y]) / 4.0
@@ -178,10 +192,11 @@ def separability_certificate(d: QuasiDecomposition, tol: float = DEFAULT_TOL) ->
     """True iff the expansion is a genuine separable decomposition.
 
     Requires every weight to be nonnegative (within tol) and the expansion
-    to actually resolve the state: complex expansions always do, real ones
-    leave the residual y-y coefficient behind, so any nonvanishing
-    residual disqualifies.
+    to actually resolve the state: complex expansions always do.  Real ones
+    miss the y row and column, so a nonvanishing residual or distance
+    disqualifies: a state with a y entry is no mixture of real products.
     """
     if d.weights.min() < -tol:
         return False
-    return abs(d.residual_coeff) <= tol
+    real_resolved = d.field is NumberField.COMPLEX or d.distance <= tol
+    return real_resolved and abs(d.residual_coeff) <= tol

@@ -43,11 +43,14 @@ from .pauli_core import (
 )
 
 _EYE3 = np.eye(3)
+_EYE4 = np.eye(4)
 _ETA = np.array([1.0, -1.0, -1.0, -1.0])
 # largest marginal Bloch entry that counts as zero, before and after filtering
 BLOCH_TOL = 1e-11
 # relative gap below which eigenvalues of gamma eta gamma^T eta count as equal
 _DEGENERATE = 1e-9
+# every column order of a 2x2 or 3x3 block, one per row, in itertools.permutations order
+_PERMUTATIONS = {n: np.array(list(itertools.permutations(range(n)))) for n in (2, 3)}
 
 
 class SingularMarginal(ValueError):
@@ -125,7 +128,7 @@ def _lorentz_frame(block: np.ndarray) -> np.ndarray:
     eta = _ETA[: len(block)]
     w, v = np.linalg.eig((block * eta) @ (block.T * eta))
     try:
-        time_axis = np.linalg.solve(v, np.eye(len(block))[0])  # in the eigenvector basis
+        time_axis = np.linalg.solve(v, _EYE4[0, : len(block)])  # in the eigenvector basis
     except np.linalg.LinAlgError:
         raise SingularMarginal(
             "no diagonal standard form: gamma eta gamma^T eta is not diagonalizable"
@@ -161,27 +164,23 @@ def _signed_svd(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     u, s, vt = np.linalg.svd(block)
     v = vt.T  # columns are the right singular vectors
-    n = block.shape[0]
-    order = max(
-        itertools.permutations(range(n)),
-        key=lambda perm: sum(abs(u[axis, col]) for axis, col in enumerate(perm)),
-    )
-    u = u[:, list(order)]
-    v = v[:, list(order)]
-    s = s[list(order)]
+    perms = _PERMUTATIONS[len(block)]
+    # overlaps summed left to right and the first largest sum, as sum() and max() pick
+    overlap = np.cumsum(np.abs(u)[np.arange(len(block)), perms], axis=1)[:, -1]
+    order = perms[np.argmax(overlap)]
+    u = u[:, order]
+    v = v[:, order]
+    s = s[order]
     du = np.where(np.diag(u) < 0.0, -1.0, 1.0)
     dv = np.where(np.diag(v) < 0.0, -1.0, 1.0)
     u = u * du
     v = v * dv
     s = s * du * dv
-    if np.linalg.det(u) < 0.0:
-        j = int(np.argmin(np.abs(s)))
-        u[:, j] *= -1.0
-        s[j] *= -1.0
-    if np.linalg.det(v) < 0.0:
-        j = int(np.argmin(np.abs(s)))
-        v[:, j] *= -1.0
-        s[j] *= -1.0
+    for w in (u, v):
+        if np.linalg.det(w) < 0.0:
+            j = int(np.argmin(np.abs(s)))
+            w[:, j] *= -1.0
+            s[j] *= -1.0
     return u, s, v
 
 
@@ -199,9 +198,19 @@ def to_standard_form(
     least ``BLOCH_TOL``.  For the real field the input is replaced by its
     real projection and the y entries are carried through untouched.
     """
+    return _to_standard_form(_check_physical(g), field, rank_tol)
+
+
+def _check_physical(g: np.ndarray) -> np.ndarray:
+    """``g`` as a float array, or ValueError unless it is a physical correlation matrix."""
     g = check_correlation(g)
     if not is_physical(g, tol=1e-8):
         raise ValueError("input correlation matrix is not a physical state")
+    return g
+
+
+def _to_standard_form(g: np.ndarray, field: NumberField, rank_tol: float) -> StandardFormResult:
+    """``to_standard_form`` of a physical ``g``, unchecked; its maps are boosts and rotations."""
     rebit = field is NumberField.REAL
     if rebit:
         g = real_projection(g)
@@ -211,8 +220,8 @@ def to_standard_form(
     for bloch3 in (g[1:, 0], g[0, 1:]):
         _check_marginal(bloch3, rank_tol)
 
-    a_map = np.eye(4)
-    b_map = np.eye(4)
+    a_map = _EYE4.copy()
+    b_map = _EYE4.copy()
     gamma = g.copy()
     if _marginal_residual(g) >= BLOCH_TOL:
         # once Alice is in her Lorentz frame, Bob's frame is his marginal
@@ -232,8 +241,8 @@ def to_standard_form(
         )
 
     u, _, v = _signed_svd(gamma[1:k, 1:k])
-    a2 = np.eye(4)
-    b2 = np.eye(4)
+    a2 = _EYE4.copy()
+    b2 = _EYE4.copy()
     a2[1:k, 1:k] = u.T
     b2[1:k, 1:k] = v.T
     gamma = a2 @ gamma @ b2.T
@@ -245,7 +254,6 @@ def to_standard_form(
 
     residual_offdiag = float(np.abs(gamma - np.diag(np.diag(gamma))).max())
     maps = LocalMapPair(a_map=a_map, b_map=b_map, field=field)
-    maps.validate()
     return StandardFormResult(gamma_std=gamma, maps=maps, residual_offdiag=residual_offdiag)
 
 

@@ -713,3 +713,15 @@ def test_fuzz_analyze_counts_files(tmp_path, capsys, text):
     rc = cli.main(["analyze", "--counts", str(counts), "--mc-samples", "20", "--seed", "1",
                    "--out", str(out)])
     _assert_clean_exit(rc, capsys)
+
+
+def test_exact_real_certificate_false_for_complex_product_mixture(tmp_path, capsys):
+    # gamma[y, y] = 0, but R x H puts sigma_y on Alice's marginal and in her correlations
+    out = tmp_path / "r.json"
+    assert cli.main(["exact", "--state", "mix:RH=0.8,mixed=0.2", "--out", str(out)]) == 0
+    decs = cli.read_report(str(out))["decompositions"]
+    assert decs["real"]["residual_coeff"] == 0.0
+    assert decs["real"]["certificate"] is False and decs["complex"]["certificate"] is True
+    summary = capsys.readouterr().out
+    assert "real decomposition: distance 0.565685425 +- 0, separable: False" in summary
+    assert "complex decomposition: distance" in summary and "separable: True" in summary

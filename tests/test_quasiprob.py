@@ -388,3 +388,92 @@ def test_transform_rejects_table_size_not_matching_field(size, field):
     want = 4 if field is NF.REAL else 6
     with pytest.raises(ValueError, match=f"{field.value} weight table must be {want}x{want}"):
         qp.transform_quasi(np.full((size, size), 1.0 / size**2), maps)
+
+
+def random_product_mixture(rng, alice_complex):
+    """Mixture of 2 to 4 pure products; Bob's states are real, Alice's complex or real."""
+    gamma = np.zeros((4, 4))
+    for w in rng.dirichlet(np.ones(rng.integers(2, 5))):
+        a = rng.normal(size=3) if alice_complex else np.r_[rng.normal(size=2), 0.0]
+        b = np.r_[rng.normal(size=2), 0.0]
+        gamma += w * np.outer(np.r_[1.0, a / np.linalg.norm(a)], np.r_[1.0, b / np.linalg.norm(b)])
+    return gamma
+
+
+def test_real_certificate_requires_whole_y_sector():
+    # the y row and column are nonzero but gamma[y, y] = 0: no mixture of real products
+    g = 0.8 * pc.product_correlation(pc.POLARIZATION_BLOCH["R"], pc.POLARIZATION_BLOCH["H"])
+    g += 0.2 * np.diag([1.0, 0.0, 0.0, 0.0])
+    d, dist = qp.decompose(g, NF.REAL)
+    assert d.residual_coeff == 0.0 and d.weights.min() >= 0.0
+    assert d.distance == dist == pytest.approx(0.4 * np.sqrt(2.0))
+    assert not qp.separability_certificate(d)
+    assert qp.separability_certificate(qp.decompose(g, NF.COMPLEX)[0])
+
+
+@pytest.mark.parametrize("alice_complex", [True, False])
+def test_real_certificate_of_product_mixtures(alice_complex):
+    rng = np.random.default_rng(2001)
+    decomposed = old_rule_passes = 0
+    for _ in range(100):
+        g = random_product_mixture(rng, alice_complex)
+        try:
+            d, _ = qp.decompose(g, NF.REAL)
+        except sf.SingularMarginal:
+            continue
+        decomposed += 1
+        # the rule that read only the residual y-y coefficient accepts these states
+        old_rule_passes += d.weights.min() >= -pc.DEFAULT_TOL and abs(d.residual_coeff) <= 1e-9
+        # complex Alice states make the state complex; real ones keep it a real mixture
+        assert qp.separability_certificate(d) is not alice_complex
+    assert decomposed >= 95 and old_rule_passes == decomposed
+
+
+@pytest.mark.parametrize("field", list(NF))
+def test_decompose_kernel_is_bit_equal_to_checked_path(field):
+    rng = np.random.default_rng(77)
+    states = [random_full_rank_gamma(rng) for _ in range(60)]
+    states += [random_standard_form_gamma(rng) for _ in range(10)]
+    states += [random_product_mixture(rng, True) for _ in range(10)]
+    for g in states:
+        d, dist = qp.decompose(g, field)
+        k, k_dist = qp._decompose(g, field)
+        for name in ("weights", "alice", "bob"):
+            assert getattr(d, name).tobytes() == getattr(k, name).tobytes()
+        assert (dist, d.distance, d.residual_coeff) == (k_dist, k.distance, k.residual_coeff)
+        assert d.distance == dist
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sf.to_standard_form(np.eye(4), NF.REAL),
+         "input correlation matrix is not a physical state"),
+        (lambda: qp.decompose(np.eye(4), NF.COMPLEX),
+         "input correlation matrix is not a physical state"),
+        (lambda: qp.pstd(np.array([[1, 0, 0, 0], [0, 0, 0.1, 0], [0, 0, 0, 0], [0, 0, 0, 1.0]]),
+                         NF.REAL),
+         "input is not in standard form (off-diagonal 1.000e-01)"),
+        (lambda: qp.transform_quasi(
+            np.full((4, 4), 1 / 16), sf.LocalMapPair(np.diag([1.0, 1, 1, 0]), np.eye(4), NF.REAL)),
+         "a_map is not invertible"),
+        (lambda: qp.transform_quasi(
+            np.full((6, 6), 1 / 36), sf.LocalMapPair(np.eye(4), np.eye(4), NF.REAL)),
+         "real weight table must be 4x4, got (6, 6)"),
+        (lambda: qp.decompose(np.diag([0.5, 0, 0, 0]), NF.REAL),
+         "correlation matrix not normalized: gamma[0,0] = 0.5"),
+    ],
+)
+def test_public_functions_keep_their_diagnostics(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_decompose_kernel_keeps_the_off_diagonal_check(monkeypatch):
+    result = sf.to_standard_form(pc.cfr_state(1.0), NF.REAL)
+    result.residual_offdiag = 2e-8
+    monkeypatch.setattr(qp, "_to_standard_form", lambda g, field, rank_tol: result)
+    with pytest.raises(ValueError) as exc:
+        qp._decompose(pc.cfr_state(1.0), NF.REAL)
+    assert str(exc.value) == "input is not in standard form (off-diagonal 2.000e-08)"

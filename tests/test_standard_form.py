@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -213,3 +215,51 @@ def test_closed_form_filter_singular_threshold():
     r = np.array([1.0, 0.0, 0.0])
     with pytest.raises(sf.SingularMarginal, match="below rank tolerance 1.0e-06"):
         sf._filter_map(r, rank_tol)
+
+
+def reference_signed_svd(block):
+    """_signed_svd with the column order picked by max() over itertools.permutations."""
+    u, s, vt = np.linalg.svd(block)
+    v = vt.T
+    order = list(max(
+        itertools.permutations(range(len(block))),
+        key=lambda perm: sum(abs(u[axis, col]) for axis, col in enumerate(perm)),
+    ))
+    u, v, s = u[:, order], v[:, order], s[order]
+    du = np.where(np.diag(u) < 0.0, -1.0, 1.0)
+    dv = np.where(np.diag(v) < 0.0, -1.0, 1.0)
+    u, v, s = u * du, v * dv, s * du * dv
+    for w in (u, v):
+        if np.linalg.det(w) < 0.0:
+            j = int(np.argmin(np.abs(s)))
+            w[:, j] *= -1.0
+            s[j] *= -1.0
+    return u, s, v
+
+
+def rotation(n, angle, axes=(0, 1)):
+    r = np.eye(n)
+    i, j = axes
+    r[[i, i, j, j], [i, j, i, j]] = np.cos(angle), -np.sin(angle), np.sin(angle), np.cos(angle)
+    return r
+
+
+def test_signed_svd_permutation_table_matches_max_over_permutations():
+    rng = np.random.default_rng(31)
+    blocks = [rng.normal(size=(n, n)) for n in (2, 3) for _ in range(300)]
+    # 45 degree rotations: two permutations overlap equally, or equally up to
+    # round-off, so the tie-break and the order of the sums decide
+    ties = [rotation(2, np.pi / 4), rotation(2, np.pi / 4) @ np.diag([2.0, 1.0]),
+            rotation(3, np.pi / 4, (1, 2)), rotation(3, -np.pi / 4, (0, 2)) @ np.diag([3.0, 2, 1])]
+    exact_ties = 0
+    for block in ties:
+        u = np.linalg.svd(block)[0]
+        sums = sorted(sum(abs(u[a, c]) for a, c in enumerate(p))
+                      for p in itertools.permutations(range(len(block))))
+        assert sums[-2] >= sums[-1] * (1.0 - 1e-15)
+        exact_ties += sums[-2] == sums[-1]
+    assert exact_ties >= 2
+    for block in blocks + ties:
+        got, want = sf._signed_svd(block), reference_signed_svd(block)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
