@@ -12,7 +12,8 @@ from {H, V, D, A, R, L}, ``bell:phi+|phi-|psi+|psi-``,
 ``gamma:<path>`` pointing at a whitespace-separated 4x4 matrix file.
 
 Counts files are flat text: comment lines starting with ``#`` followed by
-nine records ``<alice basis> <bob basis> n_pp n_pm n_mp n_mm``.  Reports
+nine records ``<alice basis> <bob basis> n_pp n_pm n_mp n_mm`` in any order,
+read into the (3, 3, 4) counts array of a ``CountsDataset``.  Reports
 are strict JSON documents (no ``Infinity`` or ``NaN``) whose numeric
 fields are rounded to nine significant digits at construction, so written
 files read back bit-exactly.  The quasiprobability tables are additionally
@@ -22,6 +23,7 @@ emitted as CSV files next to the report for plotting.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -29,7 +31,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, product
 
 import numpy as np
 
@@ -52,6 +54,7 @@ from .tomography import (
     DEFAULT_EVENTS,
     DEFAULT_MC_SAMPLES,
     BASES,
+    MAX_EVENTS,
     CountsDataset,
     EstimatedState,
     estimate_correlations,
@@ -156,10 +159,10 @@ def parse_state_spec(spec: str) -> np.ndarray:
         return _mix_gamma(_mix_components(rest, spec))
     if kind == "gamma":
         # a local file: given a name, np.loadtxt would also fetch URLs
-        with open(rest) as fh, warnings.catch_warnings():
+        with warnings.catch_warnings():
             # a file without data gets the 4x4 diagnostic below, not numpy's note
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            gamma = np.loadtxt(fh)
+            gamma = np.loadtxt(_read_lines(rest, "gamma file"))
         gamma = check_correlation(gamma)
         # every state has |gamma[mu,nu]| = |tr(rho s_mu (x) s_nu)| <= 1
         outside = np.abs(gamma) > 1.0 + DEFAULT_TOL
@@ -196,43 +199,52 @@ def _write_text(path: str, text: str) -> None:
         os.close(fd)
 
 
+def _read_lines(path: str, kind: str) -> list[str]:
+    """The lines of ``path`` read as UTF-8, as ``_write_text`` writes; a bad byte names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{kind} {path} is not UTF-8 text: {exc.reason}") from None
+
+
 def write_counts(path: str, dataset: CountsDataset, meta: dict[str, str] | None = None) -> None:
-    dataset.validate()
     lines = ["# rebitkit counts v1"]
     for key, value in (meta or {}).items():
         lines.append(f"# {key}: {value}")
     lines.append("# alice_basis bob_basis n_pp n_pm n_mp n_mm")
-    for a in BASES:
-        for b in BASES:
-            counts = dataset.settings[(a, b)]
-            lines.append(f"{a} {b} {counts[0]} {counts[1]} {counts[2]} {counts[3]}")
+    for (a, b), row in zip(product(BASES, BASES), dataset.counts.reshape(9, 4).tolist()):
+        lines.append(" ".join(map(str, [a, b, *row])))
     _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_counts(path: str) -> CountsDataset:
-    settings: dict[tuple[str, str], tuple[int, int, int, int]] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
-            a, b = parts[0], parts[1]
-            if a not in BASES or b not in BASES:
-                raise ValueError(f"{path}:{lineno}: unknown basis pair ({a}, {b})")
-            if (a, b) in settings:
-                raise ValueError(f"{path}:{lineno}: duplicate setting ({a}, {b})")
-            try:
-                settings[(a, b)] = tuple(int(p) for p in parts[2:])
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: counts must be integers, got {parts[2:]}"
-                ) from None
-    dataset = CountsDataset(settings=settings)
-    dataset.validate()
-    return dataset
+    rows = [None] * 9  # one record per setting, in BASES x BASES order
+    for lineno, raw in enumerate(_read_lines(path, "counts file"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 6:
+            raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
+        a, b = parts[0], parts[1]
+        if a not in BASES or b not in BASES:
+            raise ValueError(f"{path}:{lineno}: unknown basis pair ({a}, {b})")
+        k = 3 * BASES.index(a) + BASES.index(b)
+        if rows[k] is not None:
+            raise ValueError(f"{path}:{lineno}: duplicate setting ({a}, {b})")
+        try:
+            # a count outside [-1, 2**53 + 1] fails the same check as the bound
+            # nearest it, and the bound fits in int64 where the count may not
+            rows[k] = [min(max(int(p), -1), MAX_EVENTS + 1) for p in parts[2:]]
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: counts must be integers, got {parts[2:]}"
+            ) from None
+    missing = [setting for setting, row in zip(product(BASES, BASES), rows) if row is None]
+    if missing:
+        raise ValueError(f"missing settings: {sorted(missing)}")
+    return CountsDataset(np.array(rows, np.int64).reshape(3, 3, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +504,16 @@ def _parse_observable(text: str) -> DiagObservable:
     return DiagObservable(**_parse_params(named, text))
 
 
-def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+def _seed(option: int | None) -> int:
+    """``--seed``, else ``$REBITKIT_SEED``, else 0, checked to be a non-negative integer."""
+    source, value = "--seed", option
+    if option is None:
+        source, value = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, "0")
+        with contextlib.suppress(ValueError):
+            option = int(value)
+    if option is None or option < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {value!r}")
+    return option
 
 
 def _gamma_comment(gamma: np.ndarray) -> str:
@@ -503,7 +523,7 @@ def _gamma_comment(gamma: np.ndarray) -> str:
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = args.state
     events = args.events
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args.seed)
     kind, _, rest = spec.partition(":")
     if kind.strip().lower() == "mix":
         # classical mixture: simulate each component, then combine datasets
@@ -558,7 +578,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
             raise ValueError(f"--mc-samples must be 0 (none) or at least 2, got {mc_samples}")
         estimated = estimate_correlations(read_counts(args.counts))
         source = {"counts_path": args.counts}
-        mc_seed = args.seed if args.seed is not None else _default_seed()
+        mc_seed = _seed(args.seed)
     else:
         estimated = EstimatedState(gamma=parse_state_spec(args.state), sigma=np.zeros((4, 4)))
         source = {"state": args.state}

@@ -6,11 +6,13 @@ occur with probabilities
 
     p(s, t) = (1 + s g[mu, 0] + t g[0, nu] + s t g[mu, nu]) / 4 .
 
-Linear inversion recovers the correlation matrix with binomial standard
-errors; uncertainties propagate through any downstream analysis by
-resampling correlation matrices entrywise normally, repairing the
-(N, 4, 4) stack of samples with one batched eigendecomposition, and
-taking statistics of a batched analysis of the whole stack.
+The counts of all nine settings are one (3, 3, 4) int64 array, and
+simulation, estimation and mixing are array math over it.  Linear
+inversion recovers the correlation matrix with binomial standard errors;
+uncertainties propagate through any downstream analysis by resampling
+correlation matrices entrywise normally, repairing the (N, 4, 4) stack
+of samples with one batched eigendecomposition, and taking statistics of
+a batched analysis of the whole stack.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from .pauli_core import (
 )
 
 BASES = ("z", "x", "y")
-_AXIS_INDEX = {"z": 1, "x": 2, "y": 3}
-_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 DEFAULT_EVENTS = 100_000
 DEFAULT_MC_SAMPLES = 10_000
@@ -36,27 +36,35 @@ DEFAULT_MC_SAMPLES = 10_000
 MAX_EVENTS = 2**53
 
 
-@dataclass
+@dataclass(frozen=True)
 class CountsDataset:
-    """Coincidence counts per setting: (alice basis, bob basis) -> 4 counts."""
+    """Coincidence counts: one int64 array [Alice's basis, Bob's basis, outcome].
 
-    settings: dict[tuple[str, str], tuple[int, int, int, int]]
+    Bases go in ``BASES`` order, outcomes in (+,+), (+,-), (-,+), (-,-) order.
+    Checked once, when built, into a read-only copy: every setting holds four
+    nonnegative counts and 1 to 2**53 events.
+    """
 
-    def validate(self) -> None:
-        expected = {(a, b) for a in BASES for b in BASES}
-        missing = expected - set(self.settings)
-        if missing:
-            raise ValueError(f"missing settings: {sorted(missing)}")
-        extra = set(self.settings) - expected
-        if extra:
-            raise ValueError(f"unknown settings: {sorted(extra)}")
-        for key, counts in self.settings.items():
-            if len(counts) != 4 or any(c < 0 for c in counts):
-                raise ValueError(f"setting {key} must hold four nonnegative counts")
-            if sum(counts) <= 0:
-                raise ValueError(f"setting {key} holds no events")
-            if sum(counts) > MAX_EVENTS:
-                raise ValueError(f"setting {key} holds more than 2**53 events")
+    counts: np.ndarray
+
+    def __post_init__(self) -> None:
+        counts = np.asarray(self.counts)
+        if counts.shape != (3, 3, 4) or not np.can_cast(counts.dtype, np.int64):
+            raise ValueError(
+                f"counts must be a (3, 3, 4) int64 array, got {counts.dtype} {counts.shape}"
+            )
+        counts = counts.astype(np.int64)
+        negative = (counts < 0).any(axis=-1)
+        # capped per count first, so large counts cannot wrap the int64 sum
+        events = np.minimum(counts, MAX_EVENTS + 1).sum(axis=-1)
+        bad = negative | (events == 0) | (events > MAX_EVENTS)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            fault = ("must hold four nonnegative counts" if negative[i, j]
+                     else "holds no events" if events[i, j] == 0 else "holds more than 2**53 events")
+            raise ValueError(f"setting {(BASES[i], BASES[j])} {fault}")
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
 
 
 @dataclass
@@ -67,23 +75,20 @@ class EstimatedState:
     sigma: np.ndarray
 
 
-def setting_probabilities(g: np.ndarray, alice_basis: str, bob_basis: str) -> np.ndarray:
-    """Outcome probabilities (pp, pm, mp, mm) for one measurement setting."""
-    mu = _AXIS_INDEX[alice_basis]
-    nu = _AXIS_INDEX[bob_basis]
-    p = np.array(
-        [
-            (1.0 + s * g[mu, 0] + t * g[0, nu] + s * t * g[mu, nu]) / 4.0
-            for s, t in _SIGNS
-        ]
-    )
-    if p.min() < -1e-9:
+def outcome_probabilities(g: np.ndarray) -> np.ndarray:
+    """Outcome probabilities of every setting, shaped like ``CountsDataset.counts``."""
+    a, b, c = g[1:, :1], g[0, 1:], g[1:, 1:]
+    p = np.stack([1.0 + a + b + c, 1.0 + a - b - c, 1.0 - a + b - c, 1.0 - a - b + c],
+                 axis=-1) / 4.0
+    negative = np.argwhere(p.min(axis=-1) < -1e-9)
+    if len(negative):
+        i, j = negative[0]
         raise ValueError(
-            f"state yields negative outcome probability {p.min():.3e} "
-            f"in setting ({alice_basis}, {bob_basis})"
+            f"state yields negative outcome probability {p[i, j].min():.3e} "
+            f"in setting ({BASES[i]}, {BASES[j]})"
         )
     p = np.clip(p, 0.0, None)
-    return p / p.sum()
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def simulate_counts(
@@ -96,13 +101,7 @@ def simulate_counts(
     if not 1 <= events_per_setting <= MAX_EVENTS:
         raise ValueError(f"events_per_setting must lie in [1, 2**53], got {events_per_setting}")
     rng = np.random.default_rng(seed)
-    settings = {}
-    for a in BASES:
-        for b in BASES:
-            p = setting_probabilities(g_true, a, b)
-            counts = rng.multinomial(events_per_setting, p)
-            settings[(a, b)] = tuple(int(c) for c in counts)
-    return CountsDataset(settings=settings)
+    return CountsDataset(rng.multinomial(events_per_setting, outcome_probabilities(g_true)))
 
 
 def estimate_correlations(c: CountsDataset) -> EstimatedState:
@@ -113,33 +112,20 @@ def estimate_correlations(c: CountsDataset) -> EstimatedState:
     bases, with variances combined quadratically.  sigma[0, 0] is zero
     since the normalization is exact.
     """
-    c.validate()
+    n_pp, n_pm, n_mp, n_mm = np.moveaxis(c.counts, -1, 0)
+    n = n_pp + n_pm + n_mp + n_mm
+    # per setting: the correlation, Alice's marginal and Bob's marginal
+    values = np.stack([n_pp - n_pm - n_mp + n_mm, n_pp + n_pm - n_mp - n_mm,
+                       n_pp - n_pm + n_mp - n_mm]) / n
+    corr, alice, bob = values
+    # float_power is C pow, which rounds as Python's float ** 2 does
+    var_corr, var_alice, var_bob = np.maximum(1.0 - np.float_power(values, 2), 0.0) / n
     gamma = np.zeros((4, 4))
     sigma = np.zeros((4, 4))
     gamma[0, 0] = 1.0
-
-    marg_a = {a: [] for a in BASES}   # (value, variance) per partner setting
-    marg_b = {b: [] for b in BASES}
-    for (a, b), counts in c.settings.items():
-        n_pp, n_pm, n_mp, n_mm = counts
-        n = n_pp + n_pm + n_mp + n_mm
-        corr = (n_pp - n_pm - n_mp + n_mm) / n
-        mu, nu = _AXIS_INDEX[a], _AXIS_INDEX[b]
-        gamma[mu, nu] = corr
-        sigma[mu, nu] = np.sqrt(max(1.0 - corr**2, 0.0) / n)
-        ma = (n_pp + n_pm - n_mp - n_mm) / n
-        mb = (n_pp - n_pm + n_mp - n_mm) / n
-        marg_a[a].append((ma, max(1.0 - ma**2, 0.0) / n))
-        marg_b[b].append((mb, max(1.0 - mb**2, 0.0) / n))
-
-    for a, vals in marg_a.items():
-        mu = _AXIS_INDEX[a]
-        gamma[mu, 0] = np.mean([v for v, _ in vals])
-        sigma[mu, 0] = np.sqrt(sum(var for _, var in vals)) / len(vals)
-    for b, vals in marg_b.items():
-        nu = _AXIS_INDEX[b]
-        gamma[0, nu] = np.mean([v for v, _ in vals])
-        sigma[0, nu] = np.sqrt(sum(var for _, var in vals)) / len(vals)
+    gamma[1:, 1:], sigma[1:, 1:] = corr, np.sqrt(var_corr)
+    gamma[1:, 0], sigma[1:, 0] = alice.mean(axis=1), np.sqrt(var_alice.sum(axis=1)) / 3
+    gamma[0, 1:], sigma[0, 1:] = bob.mean(axis=0), np.sqrt(var_bob.sum(axis=0)) / 3
     return EstimatedState(gamma=gamma, sigma=sigma)
 
 
@@ -151,17 +137,9 @@ def mix_datasets(parts: list[tuple[CountsDataset, float]]) -> CountsDataset:
     if weights.min() < 0 or weights.sum() <= 0:
         raise ValueError("weights must be nonnegative with positive sum")
     weights = weights / weights.sum()
-    keys = set(parts[0][0].settings)
-    for ds, _ in parts[1:]:
-        if set(ds.settings) != keys:
-            raise ValueError("datasets cover different settings")
-    settings = {}
-    for key in keys:
-        mixed = np.zeros(4)
-        for (ds, _), w in zip(parts, weights):
-            mixed += w * np.asarray(ds.settings[key], float)
-        settings[key] = tuple(int(v) for v in np.rint(mixed))
-    return CountsDataset(settings=settings)
+    # summed part by part, in input order: a reordered sum can round .5 the other way
+    mixed = sum(w * ds.counts for (ds, _), w in zip(parts, weights))
+    return CountsDataset(np.rint(mixed).astype(np.int64))
 
 
 def repair_to_physical(g: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import threading
 import warnings
 
@@ -59,19 +61,20 @@ def test_counts_file_roundtrip(tmp_path):
     dataset = tm.simulate_counts(pc.cfr_state(1.0), 50_000, seed=3)
     path = tmp_path / "counts.txt"
     cli.write_counts(str(path), dataset, {"state": "cfr:q=1", "seed": "3"})
-    assert cli.read_counts(str(path)) == dataset
+    np.testing.assert_array_equal(cli.read_counts(str(path)).counts, dataset.counts)
 
 
 def test_read_counts_reports_missing_setting(tmp_path):
     dataset = tm.simulate_counts(pc.cfr_state(1.0), 1_000, seed=0)
     path = tmp_path / "broken.txt"
     lines = [
-        f"{a} {b} {' '.join(str(c) for c in counts)}"
-        for (a, b), counts in dataset.settings.items()
+        f"{a} {b} {' '.join(str(c) for c in dataset.counts[i, j])}"
+        for i, a in enumerate(tm.BASES)
+        for j, b in enumerate(tm.BASES)
         if (a, b) != ("x", "y")
     ]
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=r"\('x', 'y'\)"):
+    with pytest.raises(ValueError, match=r"missing settings: \[\('x', 'y'\)\]"):
         cli.read_counts(str(path))
 
 
@@ -83,7 +86,7 @@ def test_simulate_command_writes_counts(tmp_path, capsys):
     )
     assert rc == 0
     dataset = cli.read_counts(str(out))
-    assert sum(dataset.settings[("z", "z")]) == 20000
+    assert dataset.counts[0, 0].sum() == 20000
     assert "true gamma" in capsys.readouterr().out
 
 
@@ -288,7 +291,92 @@ def test_seed_env_var_default(tmp_path, monkeypatch):
     cli.main(["simulate", "--state", "cfr:q=1", "--events", "1000", "--out", str(a)])
     cli.main(["simulate", "--state", "cfr:q=1", "--events", "1000", "--seed", "123",
               "--out", str(b)])
-    assert cli.read_counts(str(a)) == cli.read_counts(str(b))
+    np.testing.assert_array_equal(cli.read_counts(str(a)).counts, cli.read_counts(str(b)).counts)
+
+
+_LAB_MIX = "mix:HH=0.3,DD=0.3,RL=0.3,mixed=0.1"
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_analyze_ignores_counts_record_order(tmp_path, monkeypatch, order):
+    canonical, reordered = tmp_path / "canonical", tmp_path / "reordered"
+    canonical.mkdir()
+    reordered.mkdir()
+    monkeypatch.chdir(canonical)
+    assert cli.main(["simulate", "--state", _LAB_MIX, "--events", "20000", "--seed", "7",
+                     "--out", "counts.txt"]) == 0
+    lines = (canonical / "counts.txt").read_text().splitlines(keepends=True)
+    records = [line for line in lines if not line.startswith("#")]
+    moved = records[::-1] if order == "reversed" else np.random.default_rng(1).permutation(records)
+    assert list(moved) != records
+    (reordered / "counts.txt").write_text(
+        "".join([line for line in lines if line.startswith("#")] + list(moved))
+    )
+    argv = ["analyze", "--counts", "counts.txt", "--target", "cfr:q=0", "--mc-samples", "50",
+            "--seed", "11", "--observable", "1,1,0", "--out", "r.json"]
+    reports = []
+    for work in (canonical, reordered):
+        monkeypatch.chdir(work)
+        assert cli.main(argv) == 0
+        reports.append(_report_files(work / "r.json"))
+    assert reports[0] == reports[1]
+
+
+_MIX_ESTIMATE = """
+import sys
+from rebitkit import cli, tomography as tm
+components = cli._mix_components("HH=0.3,DD=0.3,RL=0.3,mixed=0.1", "mix")
+parts = [(tm.simulate_counts(g, 20_000, seed=7 + i), w) for i, (g, w) in enumerate(components)]
+est = tm.estimate_correlations(tm.mix_datasets(parts))
+sys.stdout.write(est.gamma.tobytes().hex() + " " + est.sigma.tobytes().hex())
+"""
+
+
+def test_mixed_estimate_ignores_string_hash_seed():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _MIX_ESTIMATE], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONHASHSEED": hashseed, "PYTHONPATH": path},
+        ).stdout
+        for hashseed in ("1", "2")
+    ]
+    # two 4x4 float64 matrices at 16 hex digits an entry
+    assert outputs[0] == outputs[1] and len(outputs[0]) == 2 * 16 * 16 + 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+@pytest.mark.parametrize("env, option, message", [
+    ("abc", [], "REBITKIT_SEED must be a non-negative integer, got 'abc'"),
+    ("-5", [], "REBITKIT_SEED must be a non-negative integer, got '-5'"),
+    ("abc", ["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+])
+def test_seed_errors_name_their_source(tmp_path, capsys, monkeypatch, command, env, option,
+                                       message):
+    counts = tmp_path / "c.txt"
+    assert cli.main(["simulate", "--state", "cfr:q=1", "--events", "1000", "--seed", "1",
+                     "--out", str(counts)]) == 0
+    monkeypatch.setenv(cli.SEED_ENV_VAR, env)
+    out = tmp_path / ("fresh.txt" if command == "simulate" else "r.json")
+    argv = (["simulate", "--state", "cfr:q=1", "--events", "1000"] if command == "simulate"
+            else ["analyze", "--counts", str(counts), "--mc-samples", "20"])
+    capsys.readouterr()
+    assert cli.main([*argv, *option, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["counts file", "gamma file"])
+def test_non_utf8_input_names_the_file(tmp_path, capsys, kind):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"\xffz z 1 1 1 1\n")
+    out = tmp_path / "r.json"
+    argv = (["analyze", "--counts", str(path)] if kind == "counts file"
+            else ["exact", "--state", f"gamma:{path}"])
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {kind} {path} is not UTF-8 text: invalid start byte\n"
+    assert not out.exists()
 
 
 def test_extra_observable_block(tmp_path):
@@ -669,6 +757,8 @@ def _counts_text(draw) -> str:
         for a in tm.BASES
         for b in tm.BASES
     ]
+    # records may come in any order
+    rows = draw(st.permutations(rows))
     for _ in range(draw(st.integers(0, 3))):
         row = draw(st.sampled_from(rows))
         edit = draw(st.sampled_from(["token", "drop", "duplicate"]))
@@ -706,6 +796,7 @@ def test_fuzz_exact_state_specs(tmp_path, capsys, kind, body, gamma_file):
 @settings(_FUZZ, max_examples=60)
 @given(text=_counts_text() | st.text(max_size=80))
 @example(text="".join(f"{a} {b} {'9' * 400} 1 1 1\n" for a in tm.BASES for b in tm.BASES))
+@example(text="".join(f"{b} {a} {2**53 + 1} 0 -{'9' * 400} 1\n" for a in tm.BASES for b in tm.BASES))
 def test_fuzz_analyze_counts_files(tmp_path, capsys, text):
     counts = tmp_path / "c.txt"
     counts.write_text(text)

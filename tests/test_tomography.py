@@ -7,54 +7,176 @@ from rebitkit import tomography as tm
 
 
 def test_setting_probabilities_cfr_yy():
-    p = tm.setting_probabilities(pc.cfr_state(1.0), "y", "y")
-    np.testing.assert_allclose(p, [0.5, 0.0, 0.0, 0.5])
+    p = tm.outcome_probabilities(pc.cfr_state(1.0))
+    assert p.shape == (3, 3, 4)
+    np.testing.assert_allclose(p[2, 2], [0.5, 0.0, 0.0, 0.5])
 
 
 def test_setting_probabilities_mixed():
     g = np.diag([1.0, 0, 0, 0])
-    for a in tm.BASES:
-        for b in tm.BASES:
-            np.testing.assert_allclose(tm.setting_probabilities(g, a, b), [0.25] * 4)
+    np.testing.assert_allclose(tm.outcome_probabilities(g), np.full((3, 3, 4), 0.25))
 
 
 def test_setting_probabilities_rejects_nonphysical():
     g = np.diag([1.0, 0, 0, 1.5])
-    with pytest.raises(ValueError, match="negative outcome probability"):
-        tm.setting_probabilities(g, "y", "y")
+    message = r"negative outcome probability -1\.250e-01 in setting \(y, y\)"
+    with pytest.raises(ValueError, match=message):
+        tm.outcome_probabilities(g)
+
+
+_OUTCOME_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))  # (+,+), (+,-), (-,+), (-,-)
+
+
+def _loop_probabilities(g):
+    """Reference: one setting at a time, p(s, t) = (1 + s g[mu,0] + t g[0,nu] + s t g[mu,nu]) / 4."""
+    p = np.array([[[(1.0 + s * g[mu, 0] + t * g[0, nu] + s * t * g[mu, nu]) / 4.0
+                    for s, t in _OUTCOME_SIGNS] for nu in (1, 2, 3)] for mu in (1, 2, 3)])
+    p = np.clip(p, 0.0, None)
+    return np.array([[row / row.sum() for row in block] for block in p])
+
+
+def _loop_estimate(counts):
+    """Reference: the per-setting linear inversion, in Python floats, settings in BASES order."""
+    gamma, sigma = np.zeros((4, 4)), np.zeros((4, 4))
+    gamma[0, 0] = 1.0
+    marg_a, marg_b = [[], [], []], [[], [], []]
+    for i in range(3):
+        for j in range(3):
+            n_pp, n_pm, n_mp, n_mm = (int(c) for c in counts[i, j])
+            n = n_pp + n_pm + n_mp + n_mm
+            corr = (n_pp - n_pm - n_mp + n_mm) / n
+            gamma[i + 1, j + 1] = corr
+            sigma[i + 1, j + 1] = np.sqrt(max(1.0 - corr**2, 0.0) / n)
+            ma = (n_pp + n_pm - n_mp - n_mm) / n
+            mb = (n_pp - n_pm + n_mp - n_mm) / n
+            marg_a[i].append((ma, max(1.0 - ma**2, 0.0) / n))
+            marg_b[j].append((mb, max(1.0 - mb**2, 0.0) / n))
+    for k in range(3):
+        gamma[k + 1, 0] = np.mean([v for v, _ in marg_a[k]])
+        sigma[k + 1, 0] = np.sqrt(sum(var for _, var in marg_a[k])) / 3
+        gamma[0, k + 1] = np.mean([v for v, _ in marg_b[k]])
+        sigma[0, k + 1] = np.sqrt(sum(var for _, var in marg_b[k])) / 3
+    return gamma, sigma
+
+
+def test_estimate_squares_as_python_floats_do():
+    # 33/41 squares one unit in the last place apart under C pow (float ** 2) and x * x
+    data = tm.CountsDataset(np.tile([37, 2, 2, 0], (3, 3, 1)))
+    est = tm.estimate_correlations(data)
+    gamma, sigma = _loop_estimate(data.counts)
+    np.testing.assert_array_equal(est.gamma, gamma)
+    np.testing.assert_array_equal(est.sigma, sigma)
+
+
+def test_array_math_equals_per_setting_loops_bit_for_bit():
+    rng = np.random.default_rng(12)
+    labels = "HVDARL"
+    for k in range(120):
+        if k % 3 == 2:  # pure products put zeros among the outcome probabilities
+            g = pc.product_correlation(pc.polarization_state(labels[k % 6]),
+                                       pc.polarization_state(labels[k // 6 % 6]))
+        else:
+            g = random_full_rank_gamma(rng, w_min=0.0)
+        p = tm.outcome_probabilities(g)
+        np.testing.assert_array_equal(p, _loop_probabilities(g))
+        data = tm.simulate_counts(g, int(rng.choice([1, 7, 300, 100_000, 2**40])), seed=k)
+        est = tm.estimate_correlations(data)
+        gamma, sigma = _loop_estimate(data.counts)
+        np.testing.assert_array_equal(est.gamma, gamma)
+        np.testing.assert_array_equal(est.sigma, sigma)
+        # the mixture adds weight-scaled parts in input order, then rounds
+        other = tm.simulate_counts(random_full_rank_gamma(rng), data.counts[0, 0].sum(), seed=k + 1)
+        w = rng.uniform(0.1, 1.0)
+        mixed = np.zeros((3, 3, 4))
+        for part, weight in ((data, w / (w + 0.5)), (other, 0.5 / (w + 0.5))):
+            mixed = mixed + weight * part.counts.astype(float)
+        np.testing.assert_array_equal(tm.mix_datasets([(data, w), (other, 0.5)]).counts,
+                                      np.rint(mixed))
 
 
 def test_simulate_counts_deterministic():
     g = pc.cfr_state(1.0)
     d1 = tm.simulate_counts(g, 10_000, seed=5)
     d2 = tm.simulate_counts(g, 10_000, seed=5)
-    assert d1 == d2
+    np.testing.assert_array_equal(d1.counts, d2.counts)
     d3 = tm.simulate_counts(g, 10_000, seed=6)
-    assert d1 != d3
+    assert not np.array_equal(d1.counts, d3.counts)
 
 
 def test_simulate_counts_concentrates():
     d = tm.simulate_counts(pc.cfr_state(1.0), 10_000, seed=0)
-    n_pp, n_pm, n_mp, n_mm = d.settings[("y", "y")]
+    assert d.counts.shape == (3, 3, 4) and d.counts.dtype == np.int64
+    n_pp, n_pm, n_mp, n_mm = d.counts[2, 2]
     assert n_pm == 0 and n_mp == 0
     assert n_pp + n_mm == 10_000
 
 
+def test_simulate_counts_equals_nine_sequential_draws():
+    # one multinomial call over the (3, 3, 4) array draws the settings in BASES order
+    rng = np.random.default_rng(14)
+    for seed, events in enumerate((1, 300, 100_000, 2**53)):
+        g = random_full_rank_gamma(rng)
+        p = tm.outcome_probabilities(g)
+        draws = np.random.default_rng(seed)
+        want = [[draws.multinomial(events, p[i, j]) for j in range(3)] for i in range(3)]
+        np.testing.assert_array_equal(tm.simulate_counts(g, events, seed=seed).counts, want)
+
+
+@pytest.mark.parametrize("counts, message", [
+    (np.full((3, 3, 4), 1.0), r"int64 array, got float64 \(3, 3, 4\)"),
+    (np.ones((3, 3, 4), np.uint64), r"int64 array, got uint64"),
+    (np.full((3, 3, 4), 10**30).tolist(), r"int64 array, got object"),
+    (np.ones((3, 3, 5), int), r"int64 array, got int64 \(3, 3, 5\)"),
+])
+def test_counts_dataset_rejects_wrong_arrays(counts, message):
+    with pytest.raises(ValueError, match=message):
+        tm.CountsDataset(counts)
+
+
+def _counts_with(**settings):
+    counts = np.full((3, 3, 4), 5, np.int64)
+    for name, value in settings.items():
+        counts[tm.BASES.index(name[0]), tm.BASES.index(name[1])] = value
+    return counts
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"zy": (1, -1, 0, 0)}, r"setting \('z', 'y'\) must hold four nonnegative counts"),
+    ({"xz": (0, 0, 0, 0)}, r"setting \('x', 'z'\) holds no events"),
+    ({"yx": (2**53, 1, 0, 0)}, r"setting \('y', 'x'\) holds more than 2\*\*53 events"),
+    # four counts of 2**62 would wrap an int64 sum to zero
+    ({"yy": (2**62,) * 4}, r"setting \('y', 'y'\) holds more than 2\*\*53 events"),
+    # the first faulty setting in BASES order is named, with its first failing check
+    ({"yy": (-1, 0, 0, 0), "xz": (0, 0, 0, 0), "zx": (2**62, -1, 0, 0)},
+     r"setting \('z', 'x'\) must hold four nonnegative counts"),
+])
+def test_counts_dataset_names_faulty_setting(settings, message):
+    with pytest.raises(ValueError, match=message):
+        tm.CountsDataset(_counts_with(**settings))
+
+
+def test_counts_dataset_accepts_event_bounds_and_is_read_only():
+    given = _counts_with(zz=(1, 0, 0, 0), yy=(2**53 - 3, 1, 1, 1))
+    dataset = tm.CountsDataset(given)
+    np.testing.assert_array_equal(dataset.counts, given)
+    given[0, 0, 0] = -7  # the dataset holds its own copy
+    assert dataset.counts[0, 0, 0] == 1
+    with pytest.raises(ValueError, match="read-only"):
+        dataset.counts[0, 0, 0] = -7
+    small = tm.CountsDataset(np.full((3, 3, 4), 3, np.int16))
+    assert small.counts.dtype == np.int64
+
+
 def test_estimate_degenerate_sigma():
-    settings = {
-        (a, b): (25_000, 25_000, 25_000, 25_000) for a in tm.BASES for b in tm.BASES
-    }
-    settings[("y", "y")] = (50_000, 0, 0, 50_000)
-    est = tm.estimate_correlations(tm.CountsDataset(settings))
+    counts = np.full((3, 3, 4), 25_000)
+    counts[2, 2] = (50_000, 0, 0, 50_000)
+    est = tm.estimate_correlations(tm.CountsDataset(counts))
     assert est.gamma[3, 3] == 1.0
     assert est.sigma[3, 3] == 0.0
 
 
 def test_estimate_uniform_counts():
-    settings = {
-        (a, b): (25_000, 25_000, 25_000, 25_000) for a in tm.BASES for b in tm.BASES
-    }
-    est = tm.estimate_correlations(tm.CountsDataset(settings))
+    est = tm.estimate_correlations(tm.CountsDataset(np.full((3, 3, 4), 25_000)))
     assert est.gamma[0, 0] == 1.0
     assert np.abs(est.gamma[1:, 1:]).max() == 0.0
     np.testing.assert_allclose(est.sigma[1:, 1:], 1.0 / np.sqrt(100_000))
@@ -71,12 +193,11 @@ def test_estimate_within_five_sigma():
 
 
 def test_estimate_missing_setting():
-    settings = {
-        (a, b): (10, 10, 10, 10) for a in tm.BASES for b in tm.BASES
-    }
-    del settings[("z", "y")]
-    with pytest.raises(ValueError, match=r"\('z', 'y'\)"):
-        tm.estimate_correlations(tm.CountsDataset(settings))
+    # nine settings of four outcomes each, or no dataset to estimate from
+    counts = np.full((9, 4), 10)
+    for wrong in (counts[:8], counts.reshape(3, 3, 4)[:, :2], counts.reshape(3, 3, 4)[..., :3]):
+        with pytest.raises(ValueError, match=r"\(3, 3, 4\) int64 array, got int64 \("):
+            tm.estimate_correlations(tm.CountsDataset(wrong))
 
 
 def test_estimator_consistency():
@@ -106,7 +227,8 @@ def test_sigma_scaling():
 def test_mix_single_identity():
     d = tm.simulate_counts(pc.cfr_state(0.3), 5_000, seed=1)
     mixed = tm.mix_datasets([(d, 1.0)])
-    assert mixed == d
+    np.testing.assert_array_equal(mixed.counts, d.counts)
+    assert mixed.counts.dtype == np.int64
 
 
 def test_mix_circular_products_gives_cfr():
@@ -141,11 +263,11 @@ def test_mix_all_circulars_gives_mixed():
 
 
 def test_mix_rejects_mismatched_settings():
+    # a dataset that covers eight settings cannot be built, so it cannot be mixed
     d1 = tm.simulate_counts(pc.cfr_state(0.5), 1_000, seed=0)
     d2 = tm.simulate_counts(pc.cfr_state(0.5), 1_000, seed=1)
-    broken = tm.CountsDataset(dict(list(d2.settings.items())[:8]))
-    with pytest.raises(ValueError, match="different settings"):
-        tm.mix_datasets([(d1, 0.5), (broken, 0.5)])
+    with pytest.raises(ValueError, match=r"\(3, 3, 4\) int64 array, got int64 \(8, 4\)"):
+        tm.mix_datasets([(d1, 0.5), (tm.CountsDataset(d2.counts.reshape(9, 4)[:8]), 0.5)])
 
 
 def test_repair_identity_on_physical():
