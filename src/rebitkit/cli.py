@@ -358,7 +358,12 @@ def run_analysis(
                 columns.append(similarity(samples, target_gamma))
             return np.stack(columns, axis=-1)
 
-        _, sigmas = monte_carlo_propagate(estimated, mc_samples, mc_seed, mc_outputs)
+        try:
+            _, sigmas = monte_carlo_propagate(estimated, mc_samples, mc_seed, mc_outputs)
+        except MemoryError:
+            raise ValueError(
+                f"--mc-samples {mc_samples} needs more memory than is available"
+            ) from None
         mc_block = {"samples": mc_samples, "seed": mc_seed}
 
     similarity_block = None

@@ -38,6 +38,45 @@ PAULI = np.stack([SIGMA_0, SIGMA_Z, SIGMA_X, SIGMA_Y])
 KRON = np.stack([np.stack([np.kron(a, b) for b in PAULI]) for a in PAULI])
 
 
+def _terms(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and values of the four nonzeros in each column of a 16x16 table.
+
+    Entry [k, e] belongs to the k-th nonzero of column e, rows ascending.
+    The values carry a third axis of length one that broadcasts over a stack.
+    """
+    rows = np.stack([np.flatnonzero(column) for column in table.T], axis=1)
+    return rows, table[rows, np.arange(16)][..., None]
+
+
+# rho[i, j] sums gamma[mu, nu] KRON[mu, nu, i, j] / 4 over (mu, nu), and
+# gamma[mu, nu] sums rho[i, j] KRON[mu, nu, j, i] over (i, j); every entry
+# of either has four nonzero terms
+_DENSITY_TERMS = _terms(KRON.reshape(16, 16))
+_CORRELATION_TERMS = _terms(KRON.transpose(0, 1, 3, 2).reshape(16, 16).T)
+
+
+def _pauli_sum(x: np.ndarray, subscripts: str, terms: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Complex (..., 4, 4) sums of the four terms of each entry, in a fixed order.
+
+    Adds each entry's terms in ascending row order and rounds as a
+    sequential accumulator started at +0 does, the same in a lone matrix
+    as in a stack of any size.  A lone matrix goes through the einsum
+    ``subscripts`` over ``KRON``, which adds the same terms in the same
+    order (its other twelve are exact zeros) in one call instead of seven.
+    """
+    if x.size == 16:
+        return np.einsum(subscripts, x, KRON)
+    rows, values = terms
+    # gathered as (term, entry, matrix), so each term is one contiguous block
+    t = x.astype(complex, copy=False).reshape(-1, 16).T.take(rows, axis=0)
+    t *= values
+    s = t[0] + t[1]
+    s += t[2]
+    s += t[3]
+    s += 0.0  # a sum of -0 terms is +0 from a +0 start
+    return s.T.reshape(x.shape)
+
+
 class NumberField(Enum):
     """Number system the analysis is carried out over."""
 
@@ -100,8 +139,9 @@ def check_correlation(g: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def density_from_correlation(g: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Reassemble the density matrix (1/4) sum_{mu,nu} gamma[mu,nu] sigma_mu (x) sigma_nu."""
-    g = check_correlation(g, tol)
-    return np.einsum("...mn,mnij->...ij", g, KRON) / 4.0
+    rho = _pauli_sum(check_correlation(g, tol), "...mn,mnij->...ij", _DENSITY_TERMS)
+    rho /= 4.0
+    return rho
 
 
 def correlation_from_density(rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -119,7 +159,7 @@ def correlation_from_density(rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.nd
     trace_err = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max()
     if trace_err > tol:
         raise ValueError(f"density matrix trace deviates from 1 by {trace_err:.3e}")
-    gamma = np.einsum("...ij,mnji->...mn", rho, KRON)
+    gamma = _pauli_sum(rho, "...ij,mnji->...mn", _CORRELATION_TERMS)
     imag = np.abs(gamma.imag).max()
     if imag > 1e-10:
         raise ValueError(f"correlations carry imaginary residue {imag:.3e}")

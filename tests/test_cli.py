@@ -410,6 +410,29 @@ def test_analyze_mc_samples_zero_or_at_least_two(tmp_path, capsys, samples, rc):
         assert doc["monte_carlo"] == expected
 
 
+def test_analyze_mc_samples_beyond_memory_exit_2(tmp_path, capsys, monkeypatch):
+    counts = tmp_path / "c.txt"
+    cli.main(["simulate", "--state", "cfr:q=1,v=0.9", "--events", "2000",
+              "--seed", "2", "--out", str(counts)])
+    capsys.readouterr()
+
+    class OutOfMemory:
+        def __init__(self, seed):
+            pass
+
+        def standard_normal(self, size):
+            raise MemoryError(f"Unable to allocate an array with shape {size}")
+
+    # the draw fails as a real one of 10**8 samples does under a memory limit
+    monkeypatch.setattr(np.random, "default_rng", OutOfMemory)
+    out = tmp_path / "r.json"
+    assert cli.main(["analyze", "--counts", str(counts), "--mc-samples", "100000000",
+                     "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --mc-samples 100000000 needs more memory than is available\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("observable", ["nan,0,1", "1,inf,0", "1,0,-inf"])
 def test_observable_rejects_non_finite(tmp_path, capsys, observable):
     out = tmp_path / "r.json"

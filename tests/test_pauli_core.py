@@ -221,3 +221,32 @@ def test_stacked_checks_catch_one_bad_matrix():
         pc.density_from_correlation(np.eye(3))
     with pytest.raises(ValueError, match="vanishing state"):
         pc.similarity(np.stack([gammas[0], np.zeros((4, 4))]), gammas[0])
+
+
+def _density_einsum(g):
+    """The density transform as one einsum over KRON: the reference for the gather."""
+    return np.einsum("...mn,mnij->...ij", g, pc.KRON) / 4.0
+
+
+def _correlation_einsum(rho):
+    """The correlation transform as one einsum over KRON: the reference for the gather."""
+    return np.einsum("...ij,mnji->...mn", rho, pc.KRON).real.copy()
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (2,), (150,), (10_000,), (3, 5)])
+def test_transforms_equal_einsum_bit_for_bit(shape):
+    rng = np.random.default_rng(len(shape) * 100_000 + sum(shape))
+    g = rng.uniform(-1, 1, size=shape + (4, 4))
+    # exact zeros of both signs, where the sign of a zero sum is decided
+    g[rng.random(g.shape) < 0.3] = 0.0
+    g[rng.random(g.shape) < 0.2] *= -1.0
+    g[..., 0, 0] = 1.0
+    rho = pc.density_from_correlation(g)
+    expected = _density_einsum(g)
+    assert rho.shape == expected.shape and rho.dtype == expected.dtype
+    assert rho.tobytes() == expected.tobytes()
+    for part in (rho.real, rho.imag):
+        part[(part == 0.0) & (rng.random(part.shape) < 0.5)] = -0.0
+    gamma = pc.correlation_from_density(rho)
+    assert gamma.shape == g.shape
+    assert gamma.tobytes() == _correlation_einsum(rho).tobytes()

@@ -412,3 +412,109 @@ def test_repair_stack_matches_single_calls():
     # leading axes beyond one batch the same way
     np.testing.assert_array_equal(tm.repair_to_physical(stack.reshape(2, 5, 4, 4)),
                                   batched.reshape(2, 5, 4, 4))
+
+
+def _repair_every_matrix(g):
+    """The repair without the positivity check: one eigh on every matrix (reference)."""
+    g = np.array(g, dtype=float)
+    w, v = np.linalg.eigh(np.einsum("...mn,mnij->...ij", g, pc.KRON) / 4.0)
+    bad = w.min(axis=-1) < 0.0
+    if bad.any():
+        w, v = np.clip(w[bad], 0.0, None), v[bad]
+        w = w / w.sum(axis=-1, keepdims=True)
+        rho = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        g[bad] = np.einsum("...ij,mnji->...mn", rho, pc.KRON).real
+    return g
+
+
+def _samples(g_true, events, n, seed):
+    """Monte-Carlo samples of an estimate of simulated counts, drawn as Monte Carlo draws them."""
+    est = tm.estimate_correlations(tm.simulate_counts(g_true, events, seed=seed))
+    samples = est.gamma + est.sigma * np.random.default_rng(seed).standard_normal((n, 4, 4))
+    samples[:, 0, 0] = 1.0
+    return samples
+
+
+def _pure_with_noise(rng, weight):
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    psi /= np.linalg.norm(psi)
+    rho = (1.0 - weight) * np.outer(psi, psi.conj()) + weight * np.eye(4) / 4.0
+    return pc.correlation_from_density(rho)
+
+
+def _boundary_stacks():
+    rng = np.random.default_rng(2021)
+    bell = [np.diag(d) for d in
+            ([1.0, 1, 1, -1], [1.0, 1, -1, 1], [1.0, -1, 1, 1], [1.0, -1, -1, -1])]
+    products = [pc.product_correlation(pc.polarization_state(a), pc.polarization_state(b))
+                for a in "HVDARL" for b in "HVDARL"]
+    bell_samples = _samples(bell[0], 1000, 300, seed=3)
+    lab = [pc.cfr_state(0.98), random_full_rank_gamma(rng, 0.2, 0.4), random_full_rank_gamma(rng)]
+    return {
+        "exact": np.stack(bell + products + [pc.cfr_state(1.0)]),
+        "bell samples": bell_samples,
+        "clipped bell samples": _repair_every_matrix(bell_samples),
+        # eigenvalues weight/4 from far below to just above the check's margin
+        "noisy pure": np.stack([_pure_with_noise(rng, w)
+                                for w in 10.0 ** np.arange(-16.0, -7.4, 0.5) for _ in range(4)]),
+        "lab-like": np.concatenate([_samples(g, 100_000, 150, seed=s) for s, g in enumerate(lab)]),
+        "edge-like": np.concatenate([_samples(_pure_with_noise(rng, w), n, 150, seed=s)
+                                     for s, (w, n) in enumerate([(0.02, 300), (0.05, 1000)])]),
+    }
+
+
+BOUNDARY_STACKS = _boundary_stacks()
+
+
+@pytest.mark.parametrize("name, certified_count", [
+    ("exact", 0), ("bell samples", 0), ("clipped bell samples", 0),
+    ("noisy pure", None), ("lab-like", 450), ("edge-like", None),
+])
+def test_positivity_check_is_sound_and_repair_unchanged(name, certified_count):
+    stack = BOUNDARY_STACKS[name]
+    rho = pc.density_from_correlation(stack)
+    certified = tm._certified_positive(rho)
+    if certified_count is None:
+        assert 0 < certified.sum() < len(stack)
+    else:
+        assert certified.sum() == certified_count
+    lowest = np.linalg.eigvalsh(rho)[:, 0]
+    assert (lowest[certified] >= 0.0).all()
+    # and it leaves to eigh no matrix that is clearly positive
+    assert certified[lowest > 1e-8].all()
+    # the same bits as one eigh on every matrix, in a stack and one by one
+    repaired = tm.repair_to_physical(stack)
+    assert repaired.tobytes() == _repair_every_matrix(stack).tobytes()
+    for g, r in zip(stack, repaired):
+        assert tm.repair_to_physical(g).tobytes() == r.tobytes()
+        assert _repair_every_matrix(g).tobytes() == r.tobytes()
+
+
+@pytest.mark.parametrize("g_true, events, repaired", [
+    (pc.cfr_state(0.98), 100_000, 0),
+    (_pure_with_noise(np.random.default_rng(4), 0.1), 1000, 3_778),
+    (_pure_with_noise(np.random.default_rng(4), 0.02), 300, 10_000),
+])
+def test_monte_carlo_unchanged_by_positivity_check(monkeypatch, g_true, events, repaired):
+    est = tm.estimate_correlations(tm.simulate_counts(g_true, events, seed=4))
+    stacks = []
+
+    def flatten(g):
+        stacks.append(g.copy())
+        return g.reshape(len(g), 16)
+
+    checked = tm.monte_carlo_propagate(est, 10_000, 4, flatten)
+    changed = stacks[0] != _samples(g_true, events, 10_000, seed=4)
+    assert changed.any(axis=(1, 2)).sum() == repaired
+    repaired_stacks = []
+
+    def repair_every_matrix(g):
+        repaired_stacks.append(len(g))
+        return _repair_every_matrix(g)
+
+    monkeypatch.setattr(tm, "repair_to_physical", repair_every_matrix)
+    reference = tm.monte_carlo_propagate(est, 10_000, 4, flatten)
+    assert repaired_stacks == [10_000]
+    for a, b in zip(checked, reference):
+        assert a.tobytes() == b.tobytes()
+    assert stacks[0].tobytes() == stacks[1].tobytes()
