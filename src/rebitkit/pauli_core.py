@@ -55,17 +55,13 @@ _DENSITY_TERMS = _terms(KRON.reshape(16, 16))
 _CORRELATION_TERMS = _terms(KRON.transpose(0, 1, 3, 2).reshape(16, 16).T)
 
 
-def _pauli_sum(x: np.ndarray, subscripts: str, terms: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def _pauli_sum(x: np.ndarray, terms: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Complex (..., 4, 4) sums of the four terms of each entry, in a fixed order.
 
     Adds each entry's terms in ascending row order and rounds as a
     sequential accumulator started at +0 does, the same in a lone matrix
-    as in a stack of any size.  A lone matrix goes through the einsum
-    ``subscripts`` over ``KRON``, which adds the same terms in the same
-    order (its other twelve are exact zeros) in one call instead of seven.
+    as in a stack of any size.
     """
-    if x.size == 16:
-        return np.einsum(subscripts, x, KRON)
     rows, values = terms
     # gathered as (term, entry, matrix), so each term is one contiguous block
     t = x.astype(complex, copy=False).reshape(-1, 16).T.take(rows, axis=0)
@@ -73,7 +69,7 @@ def _pauli_sum(x: np.ndarray, subscripts: str, terms: tuple[np.ndarray, np.ndarr
     s = t[0] + t[1]
     s += t[2]
     s += t[3]
-    s += 0.0  # a sum of -0 terms is +0 from a +0 start
+    s += 0j  # a sum of -0 terms is +0 from a +0 start
     return s.T.reshape(x.shape)
 
 
@@ -122,15 +118,16 @@ def check_correlation(g: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.shape[-2:] != (4, 4):
         raise ValueError(f"correlation matrix must be 4x4, got {g.shape}")
+    # count_nonzero, not all() or any(): on a lone matrix it costs half as much
     finite = np.isfinite(g)
-    if not finite.all():
+    if np.count_nonzero(finite) < g.size:
         idx = tuple(np.argwhere(~finite)[0])
         i, j = idx[-2:]
         raise ValueError(
             f"correlation matrix has a non-finite entry: gamma[{i},{j}] = {float(g[idx])!r}"
         )
     bad = np.abs(g[..., 0, 0] - 1.0) > tol
-    if bad.any():
+    if np.count_nonzero(bad):
         raise ValueError(
             f"correlation matrix not normalized: gamma[0,0] = {float(g[..., 0, 0][bad][0])!r}"
         )
@@ -139,7 +136,7 @@ def check_correlation(g: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def density_from_correlation(g: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Reassemble the density matrix (1/4) sum_{mu,nu} gamma[mu,nu] sigma_mu (x) sigma_nu."""
-    rho = _pauli_sum(check_correlation(g, tol), "...mn,mnij->...ij", _DENSITY_TERMS)
+    rho = _pauli_sum(check_correlation(g, tol), _DENSITY_TERMS)
     rho /= 4.0
     return rho
 
@@ -159,7 +156,7 @@ def correlation_from_density(rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.nd
     trace_err = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max()
     if trace_err > tol:
         raise ValueError(f"density matrix trace deviates from 1 by {trace_err:.3e}")
-    gamma = _pauli_sum(rho, "...ij,mnji->...mn", _CORRELATION_TERMS)
+    gamma = _pauli_sum(rho, _CORRELATION_TERMS)
     imag = np.abs(gamma.imag).max()
     if imag > 1e-10:
         raise ValueError(f"correlations carry imaginary residue {imag:.3e}")

@@ -11,9 +11,9 @@ simulation, estimation and mixing are array math over it.  Linear
 inversion recovers the correlation matrix with binomial standard errors;
 uncertainties propagate through any downstream analysis by resampling
 correlation matrices entrywise normally, repairing the (N, 4, 4) stack
-of samples (a closed-form positivity check passes most of them as they
-are, and one batched eigendecomposition clips the rest), and taking
-statistics of a batched analysis of the whole stack.
+of samples block by block (a closed-form positivity check passes most of
+them as they are, and a batched eigendecomposition clips the rest), and
+taking statistics of a batched analysis of the whole stack.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ DEFAULT_MC_SAMPLES = 10_000
 MAX_EVENTS = 2**53
 # eigenvalue margin of the positivity check; eigh's backward error is about 1e-15
 _POSITIVE_MARGIN = 1e-9
+# matrices per block of repair_to_physical: its temporaries stay under 1 MB
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -179,20 +181,24 @@ def repair_to_physical(g: np.ndarray) -> np.ndarray:
     """Closest-under-clipping physical state: negative eigenvalues zeroed.
 
     Repairs each matrix of a (..., 4, 4) stack on its own; identity on
-    already-physical input.  In a stack, a matrix that a closed-form
-    elimination certifies positive is returned as it is, and only the
-    others are eigendecomposed, in one batched ``eigh``.
+    already-physical input.  A stack goes in blocks of matrices, so the
+    temporaries stay small beside it.  In each block, a matrix that a
+    closed-form elimination certifies positive is returned as it is, and
+    only the others are eigendecomposed, in one batched ``eigh``.
     """
     g = np.array(g, dtype=float)
-    rho = density_from_correlation(g)
     if g.size == 16:  # on a lone matrix one eigh costs less than the check
-        _clip(g, rho)
+        _clip(g, density_from_correlation(g))
         return g
-    uncertain = ~_certified_positive(rho)
-    if uncertain.any():
-        part = g[uncertain]
-        _clip(part, rho[uncertain])
-        g[uncertain] = part
+    stack = check_correlation(g).reshape(-1, 4, 4)
+    for a in range(0, len(stack), _BLOCK):
+        block = stack[a : a + _BLOCK]
+        rho = density_from_correlation(block)
+        uncertain = ~_certified_positive(rho)
+        if uncertain.any():
+            part = block[uncertain]
+            _clip(part, rho[uncertain])
+            block[uncertain] = part
     return g
 
 

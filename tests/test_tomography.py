@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -518,3 +520,28 @@ def test_monte_carlo_unchanged_by_positivity_check(monkeypatch, g_true, events, 
     for a, b in zip(checked, reference):
         assert a.tobytes() == b.tobytes()
     assert stacks[0].tobytes() == stacks[1].tobytes()
+
+
+@pytest.mark.parametrize("g_true, events", [(pc.cfr_state(0.98), 100_000),
+                                            (_pure_with_noise(np.random.default_rng(4), 0.02), 300)])
+def test_repair_temporaries_stay_small(g_true, events):
+    # blocks of matrices keep the temporaries below the size of the stack,
+    # whether the check passes every sample or eigh repairs them all
+    g = _samples(g_true, events, 10_000, seed=4)
+    tracemalloc.start()
+    try:
+        tm.repair_to_physical(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * g.nbytes  # the returned copy is one stack's size
+
+
+def test_repair_of_a_stack_keeps_its_diagnostics():
+    with pytest.raises(ValueError, match=r"must be 4x4, got \(8, 4\)"):
+        tm.repair_to_physical(np.eye(8, 4))
+    stack = np.tile(pc.cfr_state(0.5), (300, 1, 1))
+    stack[-1, 0, 0] = 0.5  # in the second block
+    with pytest.raises(ValueError, match=r"not normalized: gamma\[0,0\] = 0.5"):
+        tm.repair_to_physical(stack)
+    assert tm.repair_to_physical(np.zeros((0, 4, 4))).shape == (0, 4, 4)
