@@ -5,7 +5,8 @@ Columns: q, witness expectation, real-field distance, residual coefficient,
 complex-field distance, real certificate, complex certificate.
 
 Each state is the CLI's ``cfr:q=<q>,v=<visibility>`` spec, so the
-visibility gets the CLI's checks: one outside [0, 1] exits 2.
+visibility gets the CLI's checks: one outside [0, 1] exits 2.  Each row
+reads the report document the CLI's ``exact`` writes for that spec.
 
 Usage: python scripts/cfr_scan.py [--steps N] [--visibility V]
 """
@@ -14,10 +15,8 @@ import argparse
 
 import numpy as np
 
-from rebitkit import NumberField, decompose, evaluate_witness
-from rebitkit import separability_certificate
-from rebitkit.cli import parse_state_spec
-from rebitkit.witness import SIGMA_YY
+from rebitkit import EstimatedState, NumberField
+from rebitkit.cli import parse_state_spec, run_analysis
 
 
 def main(argv=None):
@@ -33,14 +32,14 @@ def main(argv=None):
         parser.error(str(exc))
 
     print("q,witness,real_distance,residual,complex_distance,real_sep,complex_sep")
+    fields = [NumberField.REAL, NumberField.COMPLEX]
     for q, gamma in zip(qs, gammas):
-        verdict = evaluate_witness(gamma, SIGMA_YY)
-        d_real, dist_real = decompose(gamma, NumberField.REAL)
-        d_cplx, dist_cplx = decompose(gamma, NumberField.COMPLEX)
+        doc = run_analysis(EstimatedState(gamma, np.zeros((4, 4))), fields, None, 0, 0, {})
+        real, cplx = doc["decompositions"]["real"], doc["decompositions"]["complex"]
         print(
-            f"{q:.3f},{verdict.expectation:.9g},{dist_real:.9g},"
-            f"{d_real.residual_coeff:.9g},{dist_cplx:.9g},"
-            f"{separability_certificate(d_real)},{separability_certificate(d_cplx)}"
+            f"{q:.3f},{doc['witness']['expectation']:.9g},{real['distance']:.9g},"
+            f"{real['residual_coeff']:.9g},{cplx['distance']:.9g},"
+            f"{real['certificate']},{cplx['certificate']}"
         )
 
 

@@ -13,11 +13,14 @@ from {H, V, D, A, R, L}, ``bell:phi+|phi-|psi+|psi-``,
 
 Counts files are flat text: comment lines starting with ``#`` followed by
 nine records ``<alice basis> <bob basis> n_pp n_pm n_mp n_mm`` in any order,
-read into the (3, 3, 4) counts array of a ``CountsDataset``.  Reports
-are strict JSON documents (no ``Infinity`` or ``NaN``) whose numeric
-fields are rounded to nine significant digits at construction, so written
-files read back bit-exactly.  The quasiprobability tables are additionally
-emitted as CSV files next to the report for plotting.
+read into the (3, 3, 4) counts array of a ``CountsDataset``.
+
+A report is one document: ``run_analysis`` returns it as a plain dict
+whose numbers are rounded to nine significant digits as it is built, and
+``write_report`` writes that dict as it is, as strict JSON (no
+``Infinity`` or ``NaN``), so a written file reads back bit-exactly.  The
+quasiprobability tables of the same dict go to CSV files next to the
+report for plotting, and the printed summary is read from it too.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
 from itertools import chain, product
 
 import numpy as np
@@ -250,38 +252,6 @@ def read_counts(path: str) -> CountsDataset:
 # ---------------------------------------------------------------------------
 # report document
 
-@dataclass
-class ReportDocument:
-    """Aggregated analysis results, numerically rounded for serialization."""
-
-    provenance: dict
-    estimated: EstimatedState
-    witness: WitnessVerdict
-    decompositions: dict[NumberField, dict]
-    similarity_to_target: dict | None
-    monte_carlo: dict | None
-    extra_witnesses: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        doc = {
-            "format": "rebitkit-report v1",
-            "provenance": self.provenance,
-            "estimated": {
-                "gamma": _round9(self.estimated.gamma),
-                "sigma": _round9(self.estimated.sigma),
-            },
-            "witness": _witness_dict(self.witness),
-            "similarity_to_target": self.similarity_to_target,
-            "decompositions": {
-                fld.value: block for fld, block in self.decompositions.items()
-            },
-            "monte_carlo": self.monte_carlo,
-        }
-        if self.extra_witnesses:
-            doc["extra_witnesses"] = self.extra_witnesses
-        return doc
-
-
 def _witness_dict(v: WitnessVerdict, observable: str = "sigma_y x sigma_y") -> dict:
     expectation, sigma, *bounds = _round9(
         [v.expectation, v.sigma, *v.bounds_real, *v.bounds_complex]
@@ -299,16 +269,11 @@ def _witness_dict(v: WitnessVerdict, observable: str = "sigma_y x sigma_y") -> d
     }
 
 
-def _decomposition_block(
-    d: QuasiDecomposition,
-    distance: float,
-    distance_sigma: float,
-    residual_sigma: float,
-) -> dict:
+def _decomposition_block(d: QuasiDecomposition, distance_sigma: float, residual_sigma: float) -> dict:
     table = d.weight_table()
     table[np.abs(table) < 1e-12] = 0.0
     distance, distance_sigma, residual, residual_sigma = _round9(
-        [distance, distance_sigma, d.residual_coeff, residual_sigma]
+        [d.distance, distance_sigma, d.residual_coeff, residual_sigma]
     )
     return {
         "alphabet": list(d.alphabet),
@@ -331,8 +296,8 @@ def run_analysis(
     mc_seed: int,
     provenance: dict,
     extra_observables: list[DiagObservable] | None = None,
-) -> ReportDocument:
-    """Witness, similarity, and decompositions with Monte-Carlo uncertainties.
+) -> dict:
+    """The report document: witness, similarity and decompositions with Monte-Carlo uncertainties.
 
     The witness and the similarity are evaluated on the raw estimate (the
     witness uncertainty propagates quadratically from the entrywise
@@ -340,14 +305,17 @@ def run_analysis(
     consume the eigenvalue-clipped repair of the estimate.  Monte Carlo
     repairs its samples the same way and spreads the similarity and the
     closed-form ``expansion_error`` over them.
+
+    The document is the plain dict ``write_report`` lays out, keys in file
+    order, every number rounded by ``_round9`` as it is built; the summary
+    and the CSVs read the same dict.
     """
     gamma = estimated.gamma
-    verdict = evaluate_witness(gamma, SIGMA_YY, sigma_gamma=estimated.sigma)
+    witness = _witness_dict(evaluate_witness(gamma, SIGMA_YY, sigma_gamma=estimated.sigma))
     gamma_phys = repair_to_physical(gamma)
-    repaired = not np.array_equal(gamma_phys, gamma)
 
     # the repair is checked and physical: decompose it without checking again
-    results = {fld: _decompose(gamma_phys, fld) for fld in fields}
+    results = {fld: _decompose(gamma_phys, fld)[0] for fld in fields}
     sigmas = np.zeros(2 * len(fields) + (target_gamma is not None))
     mc_block = None
     if mc_samples and estimated.sigma.max() > 0.0:
@@ -370,29 +338,26 @@ def run_analysis(
     if target_gamma is not None:
         value, sigma = _round9([similarity(gamma, target_gamma), sigmas[-1]])
         similarity_block = {"target": provenance.get("target", ""), "value": value, "sigma": sigma}
-    decomposition_blocks = {
-        fld: _decomposition_block(dec, dist, *sigmas[2 * i:2 * i + 2])
-        for i, (fld, (dec, dist)) in enumerate(results.items())
+    doc = {
+        "format": "rebitkit-report v1",
+        "provenance": {**provenance, "estimate_repaired": not np.array_equal(gamma_phys, gamma)},
+        "estimated": {"gamma": _round9(gamma), "sigma": _round9(estimated.sigma)},
+        "witness": witness,
+        "similarity_to_target": similarity_block,
+        "decompositions": {
+            fld.value: _decomposition_block(dec, *sigmas[2 * i:2 * i + 2])
+            for i, (fld, dec) in enumerate(results.items())
+        },
+        "monte_carlo": mc_block,
     }
-
-    extra_blocks = []
-    for obs in extra_observables or []:
-        extra = evaluate_witness(gamma, obs, sigma_gamma=estimated.sigma)
-        extra_blocks.append(
-            _witness_dict(extra, observable=f"{obs.lz}*zz + {obs.lx}*xx + {obs.ly}*yy")
-        )
-
-    provenance = dict(provenance)
-    provenance["estimate_repaired"] = repaired
-    return ReportDocument(
-        provenance=provenance,
-        estimated=estimated,
-        witness=verdict,
-        decompositions=decomposition_blocks,
-        similarity_to_target=similarity_block,
-        monte_carlo=mc_block,
-        extra_witnesses=extra_blocks,
-    )
+    extra_blocks = [
+        _witness_dict(evaluate_witness(gamma, obs, sigma_gamma=estimated.sigma),
+                      observable=f"{obs.lz}*zz + {obs.lx}*xx + {obs.ly}*yy")
+        for obs in extra_observables or []
+    ]
+    if extra_blocks:
+        doc["extra_witnesses"] = extra_blocks
+    return doc
 
 
 @functools.cache
@@ -448,19 +413,21 @@ def _layout(value, depth: int = 0) -> str:
     return "[" + pad + body + pad[:-2] + "]"
 
 
-def write_report(path: str, report: ReportDocument) -> None:
-    """Write the report JSON and one quasiprobability CSV per field.
+def write_report(path: str, doc: dict) -> None:
+    """Write the report document ``run_analysis`` returns, and one quasiprobability CSV per field.
 
-    Every text is built before the first file is opened, so a value strict
-    JSON cannot hold raises ValueError and leaves no file behind.
+    The JSON file holds ``doc`` as it is, laid out as ``json.dumps(doc,
+    indent=2)`` would.  Every text is built before the first file is
+    opened, so a value strict JSON cannot hold raises ValueError and
+    leaves no file behind.
     """
     try:
-        texts = [(path, _layout(report.to_dict()) + "\n")]
+        texts = [(path, _layout(doc) + "\n")]
     except ValueError as exc:
         raise ValueError(f"report {path} not written: {exc}") from None
     base, _ = os.path.splitext(path)
-    for fld, block in report.decompositions.items():
-        texts.append((f"{base}.quasi_{fld.value}.csv", _quasi_csv(block)))
+    for name, block in doc["decompositions"].items():
+        texts.append((f"{base}.quasi_{name}.csv", _quasi_csv(block)))
     for target, text in texts:
         _write_text(target, text)
 
@@ -556,22 +523,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_summary(report: ReportDocument) -> str:
-    lines = []
-    w = report.witness
-    lines.append(
-        f"<sigma_y x sigma_y> = {w.expectation:.9g} +- {w.sigma:.9g}"
-        f"  (R-entangled: {w.r_entangled}, C-entangled: {w.c_entangled})"
-    )
-    if report.similarity_to_target is not None:
-        s = report.similarity_to_target
+def _report_summary(doc: dict) -> str:
+    """The lines ``analyze`` and ``exact`` print, read from the report document."""
+    w = doc["witness"]
+    lines = [
+        f"<sigma_y x sigma_y> = {w['expectation']:.9g} +- {w['sigma']:.9g}"
+        f"  (R-entangled: {w['r_entangled']}, C-entangled: {w['c_entangled']})"
+    ]
+    s = doc["similarity_to_target"]
+    if s is not None:
         lines.append(f"similarity to target = {s['value']:.9g} +- {s['sigma']:.9g}")
-    for fld, block in report.decompositions.items():
+    for name, block in doc["decompositions"].items():
         lines.append(
-            f"{fld.value} decomposition: distance {block['distance']:.9g} "
+            f"{name} decomposition: distance {block['distance']:.9g} "
             f"+- {block['distance_sigma']:.9g}, separable: {block['certificate']}"
         )
-    lines.append(f"estimate repaired: {report.provenance['estimate_repaired']}")
+    lines.append(f"estimate repaired: {doc['provenance']['estimate_repaired']}")
     return "\n".join(lines)
 
 
@@ -599,7 +566,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         "mc_samples": mc_samples,
         "mc_seed": mc_seed,
     }
-    report = run_analysis(
+    doc = run_analysis(
         estimated,
         fields,
         target_gamma,
@@ -608,9 +575,9 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         provenance=provenance,
         extra_observables=extra,
     )
-    write_report(args.out, report)
+    write_report(args.out, doc)
     print(f"wrote {args.out}")
-    print(_report_summary(report))
+    print(_report_summary(doc))
     return 0
 
 

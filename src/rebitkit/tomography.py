@@ -39,6 +39,9 @@ MAX_EVENTS = 2**53
 _POSITIVE_MARGIN = 1e-9
 # matrices per block of repair_to_physical: its temporaries stay under 1 MB
 _BLOCK = 256
+# eigenvalues at or above this are round-off and are not clipped: eigh's backward
+# error is about 4e-16 for ||rho|| <= 1, so a clipped matrix's rebuild lies above it
+_ROUNDOFF_FLOOR = -1e-14
 
 
 @dataclass(frozen=True)
@@ -168,10 +171,14 @@ def _certified_positive(rho: np.ndarray) -> np.ndarray:
 
 
 def _clip(g: np.ndarray, rho: np.ndarray) -> None:
-    """Zero the negative eigenvalues of each rho and write the repairs into g."""
+    """Zero the negative eigenvalues of each rho below round-off and write the repairs into g.
+
+    A rho whose smallest eigenvalue is at or above ``_ROUNDOFF_FLOOR`` is
+    left as it is, so a repaired matrix repairs to itself.
+    """
     w, v = np.linalg.eigh(rho)
-    if w.min() < 0.0:  # one scalar test; a mask's any() costs more on a lone matrix
-        bad = w[..., 0] < 0.0  # eigh sorts each spectrum ascending
+    if w.min() < _ROUNDOFF_FLOOR:  # one scalar test; a mask's any() costs more on a lone matrix
+        bad = w[..., 0] < _ROUNDOFF_FLOOR  # eigh sorts each spectrum ascending
         w, v = np.clip(w[bad], 0.0, None), v[bad]
         w = w / w.sum(axis=-1, keepdims=True)
         g[bad] = correlation_from_density((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2))
@@ -181,8 +188,10 @@ def repair_to_physical(g: np.ndarray) -> np.ndarray:
     """Closest-under-clipping physical state: negative eigenvalues zeroed.
 
     Repairs each matrix of a (..., 4, 4) stack on its own; identity on
-    already-physical input.  A stack goes in blocks of matrices, so the
-    temporaries stay small beside it.  In each block, a matrix that a
+    already-physical input, and on a matrix whose smallest eigenvalue is
+    negative only by round-off (``_ROUNDOFF_FLOOR``), so repairing twice
+    gives the bits of repairing once.  A stack goes in blocks of matrices,
+    so the temporaries stay small beside it.  In each block, a matrix that a
     closed-form elimination certifies positive is returned as it is, and
     only the others are eigendecomposed, in one batched ``eigh``.
     """
@@ -218,11 +227,17 @@ def monte_carlo_propagate(
     as they are, and zeroes their negative eigenvalues), and maps the
     (n_samples, 4, 4) stack to (n_samples, k) outputs with one call of
     ``analysis``; returns their mean and sample standard deviation.  An
-    exception raised by ``analysis`` propagates unchanged.
+    exception raised by ``analysis`` propagates unchanged.  A sample count
+    whose stack exceeds numpy's array limits raises MemoryError, as one
+    that exceeds the memory does.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    noise = np.random.default_rng(seed).standard_normal((n_samples, 4, 4))
+    rng = np.random.default_rng(seed)
+    try:
+        noise = rng.standard_normal((n_samples, 4, 4))
+    except ValueError:  # numpy rejects such a shape before it allocates anything
+        raise MemoryError(f"{n_samples} samples exceed numpy's array limits") from None
     samples = e.gamma + e.sigma * noise
     samples[:, 0, 0] = 1.0
     outputs = np.asarray(analysis(repair_to_physical(samples)), float)

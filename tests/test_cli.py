@@ -177,12 +177,27 @@ def test_fields_named_twice_exit_2(tmp_path, capsys, fields, name):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("state, repaired", [("gamma:{clipped}", True), ("cfr:q=1", False)])
+def _clipped_bell_samples() -> np.ndarray:
+    """Monte-Carlo samples of bell:phi+ at 1000 events, repaired: each one was clipped."""
+    est = tm.estimate_correlations(tm.simulate_counts(cli.parse_state_spec("bell:phi+"), 1000,
+                                                      seed=3))
+    samples = est.gamma + est.sigma * np.random.default_rng(3).standard_normal((6, 4, 4))
+    samples[:, 0, 0] = 1.0
+    return tm.repair_to_physical(samples)
+
+
+@pytest.mark.parametrize("state, repaired", [
+    ("gamma:{clipped}", True), ("cfr:q=1", False),
+    # already repaired: a clipped matrix's rebuild is negative only by round-off
+    *[(f"gamma:{{sample{i}}}", False) for i in range(6)],
+])
 def test_summary_shows_estimate_repaired(tmp_path, capsys, state, repaired):
     # diag(1, 1, 1, 1) has a negative eigenvalue, so the estimate is clipped
-    clipped = _write_gamma(tmp_path / "g.txt", np.eye(4))
+    paths = {"clipped": _write_gamma(tmp_path / "g.txt", np.eye(4))}
+    for i, sample in enumerate(_clipped_bell_samples()):
+        paths[f"sample{i}"] = _write_gamma(tmp_path / f"s{i}.txt", sample)
     out = tmp_path / "r.json"
-    assert cli.main(["exact", "--state", state.format(clipped=clipped), "--out", str(out)]) == 0
+    assert cli.main(["exact", "--state", state.format(**paths), "--out", str(out)]) == 0
     assert cli.read_report(str(out))["provenance"]["estimate_repaired"] is repaired
     assert capsys.readouterr().out.splitlines()[-1] == f"estimate repaired: {repaired}"
 
@@ -433,6 +448,38 @@ def test_analyze_mc_samples_beyond_memory_exit_2(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("samples", ["100000000000000000000", "4000000000000000000"])
+def test_analyze_mc_samples_beyond_array_limits_exit_2(tmp_path, capsys, samples):
+    # numpy rejects these shapes with a ValueError before it allocates anything
+    counts = tmp_path / "c.txt"
+    cli.main(["simulate", "--state", "cfr:q=1,v=0.9", "--events", "2000",
+              "--seed", "2", "--out", str(counts)])
+    capsys.readouterr()
+    out = tmp_path / "r.json"
+    assert cli.main(["analyze", "--counts", str(counts), "--mc-samples", samples,
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --mc-samples {samples} needs more memory than is available\n")
+    assert not out.exists()
+
+
+def test_analysis_value_error_propagates_unchanged(tmp_path, capsys, monkeypatch):
+    # only the draw's failure is the sample count's fault
+    def failing(samples, field):
+        raise ValueError("analysis failed")
+
+    monkeypatch.setattr(cli, "expansion_error", failing)
+    counts = tmp_path / "c.txt"
+    cli.main(["simulate", "--state", "cfr:q=1,v=0.9", "--events", "2000",
+              "--seed", "2", "--out", str(counts)])
+    capsys.readouterr()
+    out = tmp_path / "r.json"
+    assert cli.main(["analyze", "--counts", str(counts), "--mc-samples", "20",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: analysis failed\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("observable", ["nan,0,1", "1,inf,0", "1,0,-inf"])
 def test_observable_rejects_non_finite(tmp_path, capsys, observable):
     out = tmp_path / "r.json"
@@ -677,16 +724,65 @@ def _write_gamma(path, gamma):
          "--fields", "complex", "--mc-samples", "30", "--seed", "2"],
     ],
 )
-def test_report_writer_matches_json_indent(tmp_path, argv):
+def test_report_writer_matches_json_indent(tmp_path, monkeypatch, argv):
     gamma = _write_gamma(tmp_path / "g.txt", random_full_rank_gamma(np.random.default_rng(4)))
     counts = tmp_path / "c.txt"
     cli.main(["simulate", "--state", "mix:RR=0.48,LL=0.48,mixed=0.04", "--events", "2000",
               "--seed", "3", "--out", str(counts)])
+    docs = []
+
+    def run_analysis(*args, **kwargs):
+        docs.append(cli_run_analysis(*args, **kwargs))
+        return docs[-1]
+
+    cli_run_analysis = cli.run_analysis
+    monkeypatch.setattr(cli, "run_analysis", run_analysis)
     out = tmp_path / "r.json"
     argv = [a.format(gamma=gamma, counts=counts) for a in argv]
     assert cli.main([*argv, "--out", str(out)]) == 0
     text = out.read_text()
     assert text == json.dumps(_strict_json(text), indent=2) + "\n"
+    # the file is the document run_analysis returned, a tree of plain JSON values
+    (doc,) = docs
+    assert _plain_types(doc) <= {dict, list, str, float, int, bool, type(None)}
+    assert doc == json.loads(text)
+    assert cli._layout(doc) + "\n" == json.dumps(doc, indent=2) + "\n" == text
+    assert ("extra_witnesses" in doc) == ("--observable" in argv)
+
+
+def _plain_types(value) -> set:
+    if isinstance(value, dict):
+        return {dict}.union(*map(_plain_types, value), *map(_plain_types, value.values()))
+    if isinstance(value, list):
+        return {list}.union(*map(_plain_types, value))
+    return {type(value)}
+
+
+def test_summary_lines_pinned(tmp_path, capsys):
+    # the whole printed summary of an analyze and of an exact run, line by line
+    counts, out = tmp_path / "c.txt", tmp_path / "r.json"
+    cli.main(["simulate", "--state", "mix:RR=0.48,LL=0.48,mixed=0.04", "--events", "2000",
+              "--seed", "3", "--out", str(counts)])
+    capsys.readouterr()
+    assert cli.main(["analyze", "--counts", str(counts), "--target", "cfr:q=1",
+                     "--observable", "1,0,1", "--mc-samples", "30", "--seed", "2",
+                     "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote {out}",
+        "<sigma_y x sigma_y> = 0.959 +- 0.00633715236  (R-entangled: True, C-entangled: False)",
+        "similarity to target = 0.998589532 +- 0.000957861795",
+        "real decomposition: distance 0.479930652 +- 0.00470426812, separable: False",
+        "complex decomposition: distance 1.26214621e-16 +- 0, separable: False",
+        "estimate repaired: False",
+    ]
+    assert cli.main(["exact", "--state", "cfr:q=1,v=0.96", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote {out}",
+        "<sigma_y x sigma_y> = 0.96 +- 0  (R-entangled: True, C-entangled: False)",
+        "real decomposition: distance 0.48 +- 0, separable: False",
+        "complex decomposition: distance 0 +- 0, separable: True",
+        "estimate repaired: False",
+    ]
 
 
 def test_simulate_rejects_event_counts_beyond_float_precision(tmp_path, capsys):

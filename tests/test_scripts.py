@@ -3,7 +3,10 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from rebitkit import cli
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -13,6 +16,26 @@ def load_script(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.mark.parametrize("visibility", [None, "0.8"])
+def test_cfr_scan_rows_are_exact_reports(tmp_path, capsys, visibility):
+    args = ["--steps", "5"] + (["--visibility", visibility] if visibility else [])
+    load_script("cfr_scan").main(args)
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 5
+    v = float(visibility or 1.0)
+    for row, q in zip(rows, np.linspace(0.0, 1.0, 5)):
+        out = tmp_path / "r.json"
+        assert cli.main(["exact", "--state", f"cfr:q={float(q)!r},v={v!r}", "--out", str(out)]) == 0
+        capsys.readouterr()
+        doc = cli.read_report(str(out))
+        real, cplx = doc["decompositions"]["real"], doc["decompositions"]["complex"]
+        assert row == [
+            f"{q:.3f}", f"{doc['witness']['expectation']:.9g}", f"{real['distance']:.9g}",
+            f"{real['residual_coeff']:.9g}", f"{cplx['distance']:.9g}",
+            str(real["certificate"]), str(cplx["certificate"]),
+        ]
 
 
 def test_cfr_scan_prints_one_row_per_step(capsys):

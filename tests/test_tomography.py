@@ -417,10 +417,14 @@ def test_repair_stack_matches_single_calls():
 
 
 def _repair_every_matrix(g):
-    """The repair without the positivity check: one eigh on every matrix (reference)."""
+    """The repair without the positivity check: one eigh on every matrix (reference).
+
+    Like the repair it leaves a matrix whose smallest eigenvalue is negative
+    only by round-off, at or above -1e-14, as it is.
+    """
     g = np.array(g, dtype=float)
     w, v = np.linalg.eigh(np.einsum("...mn,mnij->...ij", g, pc.KRON) / 4.0)
-    bad = w.min(axis=-1) < 0.0
+    bad = w.min(axis=-1) < -1e-14
     if bad.any():
         w, v = np.clip(w[bad], 0.0, None), v[bad]
         w = w / w.sum(axis=-1, keepdims=True)
@@ -490,6 +494,10 @@ def test_positivity_check_is_sound_and_repair_unchanged(name, certified_count):
     for g, r in zip(stack, repaired):
         assert tm.repair_to_physical(g).tobytes() == r.tobytes()
         assert _repair_every_matrix(g).tobytes() == r.tobytes()
+    # a repaired matrix repairs to itself, in a stack and one by one
+    assert tm.repair_to_physical(repaired).tobytes() == repaired.tobytes()
+    for r in repaired:
+        assert tm.repair_to_physical(r).tobytes() == r.tobytes()
 
 
 @pytest.mark.parametrize("g_true, events, repaired", [
