@@ -40,6 +40,8 @@ _ALPHABET = {NumberField.REAL: REBIT_ALPHABET, NumberField.COMPLEX: QUBIT_ALPHAB
 # Bloch vectors of each field's alphabet, one column per label
 _COLUMNS = {fld: np.stack([POLARIZATION_BLOCH[lab] for lab in alphabet], axis=1)
             for fld, alphabet in _ALPHABET.items()}
+# largest normalization error and off-diagonal entry of a matrix in standard form
+STANDARD_FORM_TOL = 1e-8
 
 
 @dataclass
@@ -69,14 +71,14 @@ class QuasiDecomposition:
         return self.weights.copy()
 
 
-def pstd(g_std: np.ndarray, field: NumberField, tol: float = 1e-8) -> np.ndarray:
+def pstd(g_std: np.ndarray, field: NumberField) -> np.ndarray:
     """Closed-form weights over the field's alphabet squared for a diagonal state.
 
     One 2x2 block per Pauli axis of the field: z and x, plus y over the complex numbers.
     """
-    g_std = check_correlation(g_std, tol)
+    g_std = check_correlation(g_std, STANDARD_FORM_TOL)
     off = np.abs(g_std - np.diag(np.diag(g_std))).max()
-    if off > tol:
+    if off > STANDARD_FORM_TOL:
         raise ValueError(f"input is not in standard form (off-diagonal {off:.3e})")
     return _pstd(g_std, field)
 
@@ -107,6 +109,8 @@ def transform_quasi(p_std: np.ndarray, maps: LocalMapPair) -> QuasiDecomposition
     n = len(_ALPHABET[maps.field])
     if p_std.shape != (n, n):
         raise ValueError(f"{maps.field.value} weight table must be {n}x{n}, got {p_std.shape}")
+    if not np.isfinite(p_std).all():
+        raise ValueError("weight table has non-finite entries")
     return _transform(p_std, maps)
 
 
@@ -143,9 +147,7 @@ def local_reconstruction(d: QuasiDecomposition) -> np.ndarray:
     return (alice.T * weights) @ bob
 
 
-def decompose(
-    g: np.ndarray, field: NumberField, rank_tol: float = 1e-6
-) -> tuple[QuasiDecomposition, float]:
+def decompose(g: np.ndarray, field: NumberField) -> tuple[QuasiDecomposition, float]:
     """Full quasiprobability decomposition of a physical state.
 
     Reduces to standard form, applies the closed-form weights for the
@@ -155,15 +157,13 @@ def decompose(
     of the input, but the distance and the residual y-y coefficient are
     measured against the state actually given.
     """
-    return _decompose(_check_physical(g), field, rank_tol)
+    return _decompose(_check_physical(g), field)
 
 
-def _decompose(
-    g: np.ndarray, field: NumberField, rank_tol: float = 1e-6
-) -> tuple[QuasiDecomposition, float]:
+def _decompose(g: np.ndarray, field: NumberField) -> tuple[QuasiDecomposition, float]:
     """``decompose`` of a physical ``g``, unchecked."""
-    sf = _to_standard_form(g, field, rank_tol)
-    if sf.residual_offdiag > 1e-8:  # pstd's check
+    sf = _to_standard_form(g, field)
+    if sf.residual_offdiag > STANDARD_FORM_TOL:  # pstd's check
         raise ValueError(f"input is not in standard form (off-diagonal {sf.residual_offdiag:.3e})")
     decomposition = _transform(_pstd(sf.gamma_std, field), sf.maps)
     reconstruction = local_reconstruction(decomposition)

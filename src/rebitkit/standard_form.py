@@ -5,25 +5,29 @@ correlation matrix by invertible local operations, which do not affect
 separability.  Such operations act on ``gamma`` as scaled proper Lorentz
 transformations, ``gamma -> A gamma B^T``, and the standard form is the
 Lorentz singular value decomposition gamma = L_A S L_B^T (Verstraete,
-Dehaene, De Moor, PRA 65, 032308 (2002)).  It is computed directly, in
-two steps:
+Dehaene, De Moor, PRA 65, 032308 (2002)).  Rebits restrict it to the real
+numbers: real local operations act only on the (0, z, x) block of the real
+projection of gamma, as Lorentz transformations with one space dimension
+fewer (Caves, Fuchs, Rungta, Found. Phys. Lett. 14, 199 (2001)).  So one
+reduction serves both fields, on the field's k x k block of gamma, with
+k = 4 for qubits and k = 3 for rebits, and eta = diag(1, -1, ..., -1).
+It is computed directly, in two steps:
 
-1. with eta = diag(1, -1, -1, -1), gamma eta gamma^T eta = L_A S^2 L_A^-1,
-   so the eigenvector x of its largest eigenvalue is the time-like first
-   column of L_A.  Alice's filter is the Bloch map of (2 rho)^(-1/2) for the
-   qubit with Bloch vector x[1:] / x[0], a closed form: the Lorentz boost
-   by minus that vector, scaled by (1 - |r|^2)^(-1/2).  In the filtered
-   frame Bob's Lorentz vector is his marginal, which his filter removes the
-   same way, and Alice's marginal vanishes with it;
-2. a signed singular value decomposition of the remaining 3x3 correlation
-   block diagonalizes it with proper rotations on both sides.
+1. block eta block^T eta = L_A S^2 L_A^-1, so the eigenvector x of its
+   largest eigenvalue is the time-like first column of L_A.  Alice's filter
+   is the Bloch map of (2 rho)^(-1/2) for the marginal with Bloch vector
+   x[1:] / x[0], a closed form: the Lorentz boost by minus that vector,
+   scaled by (1 - |r|^2)^(-1/2).  In the filtered frame Bob's Lorentz
+   vector is his marginal, which his filter removes the same way, and
+   Alice's marginal vanishes with it;
+2. a signed singular value decomposition of the remaining spatial block
+   diagonalizes it with proper rotations on both sides.
 
-Local maps are stored as their 4x4 actions on Bloch vectors, composed so
-that ``gamma_std = a_map @ gamma @ b_map.T`` up to normalization, and
-``apply_local_maps`` inverts the reduction.  In the rebit variant step 1
-acts on the (0, z, x) block only, with eta = diag(1, -1, -1), step 2
-rotates in the z-x plane, and the [y, y] entry is carried through
-verbatim, so the maps are the identity on the y component.
+The block is written back into gamma, and the local maps, stored as their
+4x4 actions on Bloch vectors, are the k x k maps embedded in the identity:
+``gamma_std = a_map @ gamma @ b_map.T`` up to normalization, and
+``apply_local_maps`` inverts the reduction.  Rebit maps are thus the
+identity on y, and the [y, y] entry is carried verbatim.
 """
 
 from __future__ import annotations
@@ -42,11 +46,12 @@ from .pauli_core import (
     real_projection,
 )
 
-_EYE3 = np.eye(3)
 _EYE4 = np.eye(4)
 _ETA = np.array([1.0, -1.0, -1.0, -1.0])
 # largest marginal Bloch entry that counts as zero, before and after filtering
 BLOCH_TOL = 1e-11
+# largest smaller marginal eigenvalue that counts as rank-deficient
+RANK_TOL = 1e-6
 # relative gap below which eigenvalues of gamma eta gamma^T eta count as equal
 _DEGENERATE = 1e-9
 # every column order of a 2x2 or 3x3 block, one per row, in itertools.permutations order
@@ -67,8 +72,15 @@ class LocalMapPair:
 
     def validate(self) -> None:
         for name, m in (("a_map", self.a_map), ("b_map", self.b_map)):
+            if np.shape(m) != (4, 4):
+                raise ValueError(f"{name} must be 4x4, got shape {np.shape(m)}")
+            if not np.isfinite(m).all():
+                raise ValueError(f"{name} has non-finite entries")
             if abs(np.linalg.det(m)) <= 1e-12:
                 raise ValueError(f"{name} is not invertible")
+            on_y = (m[IDX_Y] == _EYE4[IDX_Y]) & (m[:, IDX_Y] == _EYE4[IDX_Y])
+            if self.field is NumberField.REAL and not on_y.all():
+                raise ValueError(f"{name} is a real map but not the identity on y")
 
 
 @dataclass
@@ -78,38 +90,32 @@ class StandardFormResult:
     residual_offdiag: float
 
 
-def _check_marginal(bloch3: np.ndarray, rank_tol: float) -> float:
-    """Return |r|^2, raising ``SingularMarginal`` when (1 - |r|)/2 <= rank_tol."""
-    r2 = float(bloch3 @ bloch3)
+def _check_marginal(bloch: np.ndarray) -> float:
+    """Return |r|^2, raising ``SingularMarginal`` when (1 - |r|)/2 <= ``RANK_TOL``."""
+    r2 = float(bloch @ bloch)
     smallest = 0.5 * (1.0 - math.sqrt(r2))
-    if not smallest > rank_tol:
+    if not smallest > RANK_TOL:
         raise SingularMarginal(
-            f"marginal eigenvalue {smallest:.3e} below rank tolerance {rank_tol:.1e}"
+            f"marginal eigenvalue {smallest:.3e} below rank tolerance {RANK_TOL:.1e}"
         )
     return r2
 
 
-def _filter_map(bloch3: np.ndarray, rank_tol: float) -> np.ndarray:
+def _filter_map(bloch: np.ndarray) -> np.ndarray:
     """Bloch map of the filter (2 rho)^(-1/2) for a marginal with Bloch vector r.
 
     The map is g times the Lorentz boost by -r, with g = (1 - |r|^2)^(-1/2):
     M00 = g^2, M0i = Mi0 = -g^2 r_i, Mij = g delta_ij + g^3/(g+1) r_i r_j.
-    It sends (1, r) to (1, 0).
+    It sends (1, r) to (1, 0).  ``bloch`` is (z, x, y) for a qubit and
+    (z, x) for a rebit, whose map is the (0, z, x) block of the qubit's.
     """
-    r2 = _check_marginal(bloch3, rank_tol)
+    r2 = _check_marginal(bloch)
     g = 1.0 / math.sqrt(1.0 - r2)
-    m = np.empty((4, 4))
+    k = len(bloch) + 1
+    m = np.empty((k, k))
     m[0, 0] = g * g
-    m[0, 1:] = m[1:, 0] = -g * g * bloch3
-    m[1:, 1:] = (g**3 / (g + 1.0)) * (bloch3[:, None] * bloch3) + g * _EYE3
-    return m
-
-
-def _force_rebit_structure(m: np.ndarray) -> np.ndarray:
-    """Make a Bloch map act as the exact identity on the y component."""
-    m[IDX_Y, :] = 0.0
-    m[:, IDX_Y] = 0.0
-    m[IDX_Y, IDX_Y] = 1.0
+    m[0, 1:] = m[1:, 0] = -g * g * bloch
+    m[1:, 1:] = (g**3 / (g + 1.0)) * (bloch[:, None] * bloch) + g * _EYE4[1:k, 1:k]
     return m
 
 
@@ -122,8 +128,6 @@ def _lorentz_frame(block: np.ndarray) -> np.ndarray:
     vector of the eigenspace when it is not (a pure entangled state makes
     it fourfold).  Eigenvalues within ``_DEGENERATE`` of the largest count
     as equal; closer ones could not be told apart to ``BLOCH_TOL`` anyway.
-    ``block`` is gamma, or its (0, z, x) block in the rebit variant, where
-    the y entry of the Bloch vector is zero.
     """
     eta = _ETA[: len(block)]
     w, v = np.linalg.eig((block * eta) @ (block.T * eta))
@@ -135,18 +139,15 @@ def _lorentz_frame(block: np.ndarray) -> np.ndarray:
         ) from None
     top = w.real >= (1.0 - _DEGENERATE) * w.real.max()
     x = (v[:, top] @ time_axis[top]).real
-    bloch3 = np.zeros(3)
-    bloch3[: len(x) - 1] = x[1:] / x[0]
-    return bloch3
+    return x[1:] / x[0]
 
 
-def _frame_filter(bloch3: np.ndarray, rank_tol: float, rebit: bool) -> np.ndarray:
+def _frame_filter(bloch: np.ndarray) -> np.ndarray:
     try:
-        m = _filter_map(bloch3, rank_tol)
+        return _filter_map(bloch)
     except SingularMarginal as exc:
         # the input marginals passed this test, so the frame itself is degenerate
         raise SingularMarginal(f"no diagonal standard form: Lorentz frame {exc}") from None
-    return _force_rebit_structure(m) if rebit else m
 
 
 def _marginal_residual(gamma: np.ndarray) -> float:
@@ -184,21 +185,19 @@ def _signed_svd(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, v
 
 
-def to_standard_form(
-    g: np.ndarray,
-    field: NumberField,
-    rank_tol: float = 1e-6,
-) -> StandardFormResult:
+def to_standard_form(g: np.ndarray, field: NumberField) -> StandardFormResult:
     """Diagonalize a physical correlation matrix by invertible local maps.
 
-    Raises ``SingularMarginal`` for a marginal whose smaller eigenvalue is
-    at most ``rank_tol`` (pure product inputs have no standard form under
-    invertible maps), and for a state whose Lorentz normal form is not
-    diagonal: its filters are singular, or leave a marginal entry of at
-    least ``BLOCH_TOL``.  For the real field the input is replaced by its
-    real projection and the y entries are carried through untouched.
+    The reduction runs on the field's block of gamma: all of it for
+    qubits, and the (0, z, x) block of the real projection for rebits,
+    whose [y, y] entry is carried verbatim and whose maps are the identity
+    on y.  Raises ``SingularMarginal`` for a marginal whose smaller
+    eigenvalue is at most ``RANK_TOL`` (pure product inputs have no
+    standard form under invertible maps), and for a state whose Lorentz
+    normal form is not diagonal: its filters are singular, or leave a
+    marginal entry of at least ``BLOCH_TOL``.
     """
-    return _to_standard_form(_check_physical(g), field, rank_tol)
+    return _to_standard_form(_check_physical(g), field)
 
 
 def _check_physical(g: np.ndarray) -> np.ndarray:
@@ -209,52 +208,43 @@ def _check_physical(g: np.ndarray) -> np.ndarray:
     return g
 
 
-def _to_standard_form(g: np.ndarray, field: NumberField, rank_tol: float) -> StandardFormResult:
+def _to_standard_form(g: np.ndarray, field: NumberField) -> StandardFormResult:
     """``to_standard_form`` of a physical ``g``, unchecked; its maps are boosts and rotations."""
-    rebit = field is NumberField.REAL
-    if rebit:
-        g = real_projection(g)
-    yy_in = g[IDX_Y, IDX_Y]
-    # size of the transformed block: (0, z, x) for rebits, all of gamma otherwise
-    k = IDX_Y if rebit else 4
-    for bloch3 in (g[1:, 0], g[0, 1:]):
-        _check_marginal(bloch3, rank_tol)
+    # k x k block of the field: (0, z, x) for rebits, all of gamma otherwise
+    gamma_std, k = (real_projection(g), IDX_Y) if field is NumberField.REAL else (g.copy(), 4)
+    block = gamma_std[:k, :k]
+    eye = _EYE4[:k, :k]
+    for bloch in (block[1:, 0], block[0, 1:]):
+        _check_marginal(bloch)
 
-    a_map = _EYE4.copy()
-    b_map = _EYE4.copy()
-    gamma = g.copy()
-    if _marginal_residual(g) >= BLOCH_TOL:
+    a_map = b_map = eye
+    gamma = block
+    if _marginal_residual(block) >= BLOCH_TOL:
         # once Alice is in her Lorentz frame, Bob's frame is his marginal
-        a_map = _frame_filter(_lorentz_frame(g[:k, :k]), rank_tol, rebit)
-        gamma = a_map @ g
-        b_map = _frame_filter(gamma[0, 1:] / gamma[0, 0], rank_tol, rebit)
+        a_map = _frame_filter(_lorentz_frame(block))
+        gamma = a_map @ block
+        b_map = _frame_filter(gamma[0, 1:] / gamma[0, 0])
         gamma = gamma @ b_map.T
-    # divide out gamma[0, 0]; for rebits only the (0, z, x) rows, so the
-    # carried y channel and the identity-on-y maps stay untouched
     s = gamma[0, 0]
-    gamma[:k] /= s
-    a_map[:k] /= s
+    gamma = gamma / s
+    a_map = a_map / s
     residual = _marginal_residual(gamma)
     if not residual < BLOCH_TOL:
         raise SingularMarginal(
             f"no diagonal standard form: marginal residual {residual:.3e} after filtering"
         )
 
-    u, _, v = _signed_svd(gamma[1:k, 1:k])
-    a2 = _EYE4.copy()
-    b2 = _EYE4.copy()
-    a2[1:k, 1:k] = u.T
-    b2[1:k, 1:k] = v.T
-    gamma = a2 @ gamma @ b2.T
-    a_map = a2 @ a_map
-    b_map = b2 @ b_map
-    if rebit:
-        # the y channel is carried, not transformed
-        gamma[IDX_Y, IDX_Y] = yy_in
-
-    residual_offdiag = float(np.abs(gamma - np.diag(np.diag(gamma))).max())
-    maps = LocalMapPair(a_map=a_map, b_map=b_map, field=field)
-    return StandardFormResult(gamma_std=gamma, maps=maps, residual_offdiag=residual_offdiag)
+    u, _, v = _signed_svd(gamma[1:, 1:])
+    a2 = eye.copy()
+    b2 = eye.copy()
+    a2[1:, 1:] = u.T
+    b2[1:, 1:] = v.T
+    gamma_std[:k, :k] = a2 @ gamma @ b2.T
+    residual_offdiag = float(np.abs(gamma_std - np.diag(np.diag(gamma_std))).max())
+    maps = LocalMapPair(a_map=_EYE4.copy(), b_map=_EYE4.copy(), field=field)
+    maps.a_map[:k, :k] = a2 @ a_map
+    maps.b_map[:k, :k] = b2 @ b_map
+    return StandardFormResult(gamma_std=gamma_std, maps=maps, residual_offdiag=residual_offdiag)
 
 
 def apply_local_maps(g_std: np.ndarray, maps: LocalMapPair) -> np.ndarray:

@@ -25,3 +25,13 @@ def random_standard_form_gamma(rng: np.random.Generator) -> np.ndarray:
     gx = p[0] - p[1] + p[2] - p[3]
     gy = -p[0] + p[1] + p[2] - p[3]
     return np.diag([1.0, gz, gx, gy])
+
+
+def random_product_mixture(rng: np.random.Generator, alice_complex: bool) -> np.ndarray:
+    """Mixture of 2 to 4 pure products; Bob's states are real, Alice's complex or real."""
+    gamma = np.zeros((4, 4))
+    for w in rng.dirichlet(np.ones(rng.integers(2, 5))):
+        a = rng.normal(size=3) if alice_complex else np.r_[rng.normal(size=2), 0.0]
+        b = np.r_[rng.normal(size=2), 0.0]
+        gamma += w * np.outer(np.r_[1.0, a / np.linalg.norm(a)], np.r_[1.0, b / np.linalg.norm(b)])
+    return gamma

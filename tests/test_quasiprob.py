@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_full_rank_gamma, random_standard_form_gamma
+from conftest import random_full_rank_gamma, random_product_mixture, random_standard_form_gamma
 from rebitkit import pauli_core as pc
 from rebitkit import quasiprob as qp
 from rebitkit import standard_form as sf
@@ -332,8 +332,9 @@ def reference_reconstruction(entries):
 
 def random_invertible_bloch_map(rng, rebit):
     m = np.eye(4) + 0.3 * rng.normal(size=(4, 4))
-    if rebit:
-        m = sf._force_rebit_structure(m)
+    if rebit:  # the identity on y
+        m[3, :] = m[:, 3] = 0.0
+        m[3, 3] = 1.0
     return m
 
 
@@ -390,16 +391,6 @@ def test_transform_rejects_table_size_not_matching_field(size, field):
         qp.transform_quasi(np.full((size, size), 1.0 / size**2), maps)
 
 
-def random_product_mixture(rng, alice_complex):
-    """Mixture of 2 to 4 pure products; Bob's states are real, Alice's complex or real."""
-    gamma = np.zeros((4, 4))
-    for w in rng.dirichlet(np.ones(rng.integers(2, 5))):
-        a = rng.normal(size=3) if alice_complex else np.r_[rng.normal(size=2), 0.0]
-        b = np.r_[rng.normal(size=2), 0.0]
-        gamma += w * np.outer(np.r_[1.0, a / np.linalg.norm(a)], np.r_[1.0, b / np.linalg.norm(b)])
-    return gamma
-
-
 def test_real_certificate_requires_whole_y_sector():
     # the y row and column are nonzero but gamma[y, y] = 0: no mixture of real products
     g = 0.8 * pc.product_correlation(pc.POLARIZATION_BLOCH["R"], pc.POLARIZATION_BLOCH["H"])
@@ -444,6 +435,13 @@ def test_decompose_kernel_is_bit_equal_to_checked_path(field):
         assert d.distance == dist
 
 
+def map_with(row, col, value):
+    """The identity Bloch map with one entry set."""
+    m = np.eye(4)
+    m[row, col] = value
+    return m
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -462,6 +460,28 @@ def test_decompose_kernel_is_bit_equal_to_checked_path(field):
          "real weight table must be 4x4, got (6, 6)"),
         (lambda: qp.decompose(np.diag([0.5, 0, 0, 0]), NF.REAL),
          "correlation matrix not normalized: gamma[0,0] = 0.5"),
+        # a real map that mixes x into y would pull rebit labels out of the real plane
+        (lambda: qp.transform_quasi(
+            qp.pstd(pc.cfr_state(1.0), NF.REAL),
+            sf.LocalMapPair(map_with(3, 1, 0.5), np.eye(4), NF.REAL)),
+         "a_map is a real map but not the identity on y"),
+        (lambda: sf.apply_local_maps(
+            pc.cfr_state(1.0), sf.LocalMapPair(np.eye(4), map_with(1, 3, -0.5), NF.REAL)),
+         "b_map is a real map but not the identity on y"),
+        # non-finite maps are rejected before det() can warn
+        (lambda: sf.apply_local_maps(
+            pc.cfr_state(1.0), sf.LocalMapPair(map_with(1, 2, np.nan), np.eye(4), NF.COMPLEX)),
+         "a_map has non-finite entries"),
+        (lambda: qp.transform_quasi(
+            np.full((4, 4), 1 / 16), sf.LocalMapPair(np.eye(4), map_with(0, 0, np.inf), NF.REAL)),
+         "b_map has non-finite entries"),
+        (lambda: qp.transform_quasi(
+            np.full((6, 6), np.nan), sf.LocalMapPair(np.eye(4), np.eye(4), NF.COMPLEX)),
+         "weight table has non-finite entries"),
+        # the y check would index past a 3x3 map
+        (lambda: sf.apply_local_maps(
+            pc.cfr_state(1.0), sf.LocalMapPair(np.eye(4), np.eye(3), NF.REAL)),
+         "b_map must be 4x4, got shape (3, 3)"),
     ],
 )
 def test_public_functions_keep_their_diagnostics(call, message):
@@ -473,7 +493,7 @@ def test_public_functions_keep_their_diagnostics(call, message):
 def test_decompose_kernel_keeps_the_off_diagonal_check(monkeypatch):
     result = sf.to_standard_form(pc.cfr_state(1.0), NF.REAL)
     result.residual_offdiag = 2e-8
-    monkeypatch.setattr(qp, "_to_standard_form", lambda g, field, rank_tol: result)
+    monkeypatch.setattr(qp, "_to_standard_form", lambda g, field: result)
     with pytest.raises(ValueError) as exc:
         qp._decompose(pc.cfr_state(1.0), NF.REAL)
     assert str(exc.value) == "input is not in standard form (off-diagonal 2.000e-08)"

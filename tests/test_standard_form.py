@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_full_rank_gamma, random_standard_form_gamma
+from conftest import random_full_rank_gamma, random_product_mixture, random_standard_form_gamma
 from rebitkit import pauli_core as pc
 from rebitkit import standard_form as sf
 
@@ -66,6 +66,73 @@ def test_rebit_y_invariance():
             np.testing.assert_array_equal(m[:3, 3], [0.0, 0.0, 0.0])
         back = sf.apply_local_maps(result.gamma_std, result.maps)
         assert pc.hs_distance(back, projected) < 1e-8
+
+
+def force_identity_on_y(m):
+    m[3, :] = m[:, 3] = 0.0
+    m[3, 3] = 1.0
+    return m
+
+
+def reference_rebit_standard_form(g):
+    """The rebit reduction run as 4x4 qubit steps on the real projection.
+
+    Each filter is the qubit filter forced to the identity on y, [y, y] is
+    carried, and only the (0, z, x) rows are divided by gamma[0, 0].
+    """
+    g = pc.real_projection(g)
+    for bloch3 in (g[1:, 0], g[0, 1:]):
+        sf._check_marginal(bloch3)
+    a_map, b_map, gamma = np.eye(4), np.eye(4), g.copy()
+    if sf._marginal_residual(g) >= sf.BLOCH_TOL:
+        a_map = force_identity_on_y(sf._filter_map(np.r_[sf._lorentz_frame(g[:3, :3]), 0.0]))
+        gamma = a_map @ g
+        b_map = force_identity_on_y(sf._filter_map(gamma[0, 1:] / gamma[0, 0]))
+        gamma = gamma @ b_map.T
+    s = gamma[0, 0]
+    gamma[:3] /= s
+    a_map[:3] /= s
+    if not sf._marginal_residual(gamma) < sf.BLOCH_TOL:
+        raise sf.SingularMarginal("marginal residual after filtering")
+    u, _, v = sf._signed_svd(gamma[1:3, 1:3])
+    a2, b2 = np.eye(4), np.eye(4)
+    a2[1:3, 1:3] = u.T
+    b2[1:3, 1:3] = v.T
+    gamma = a2 @ gamma @ b2.T
+    gamma[3, 3] = g[3, 3]
+    residual_offdiag = float(np.abs(gamma - np.diag(np.diag(gamma))).max())
+    return gamma, a2 @ a_map, b2 @ b_map, residual_offdiag
+
+
+def random_density_gamma(rng):
+    """Correlation matrix of a random full-rank density matrix G G^dagger / tr."""
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = a @ a.conj().T
+    return pc.correlation_from_density(rho / np.trace(rho).real)
+
+
+def test_rebit_reduction_matches_4x4_reference_bit_for_bit():
+    rng = np.random.default_rng(15)
+    states = [random_density_gamma(rng) for _ in range(40)]
+    states += [random_full_rank_gamma(rng) for _ in range(80)]  # noisy pure
+    states += [pc.cfr_state(q) for q in np.linspace(0.0, 1.0, 11)]
+    states += [random_product_mixture(rng, False) for _ in range(60)]
+    states += [random_product_mixture(rng, True) for _ in range(20)]
+    compared = 0
+    for g in states:
+        try:
+            want = reference_rebit_standard_form(g)
+        except sf.SingularMarginal:
+            with pytest.raises(sf.SingularMarginal):
+                sf.to_standard_form(g, NF.REAL)
+            continue
+        result = sf.to_standard_form(g, NF.REAL)
+        got = (result.gamma_std, result.maps.a_map, result.maps.b_map)
+        for g_arr, w_arr in zip(got, want):
+            assert g_arr.tobytes() == w_arr.tobytes()
+        assert result.residual_offdiag == want[3]
+        compared += 1
+    assert compared >= 200
 
 
 def test_rebit_standard_form_input_physicality():
@@ -165,56 +232,64 @@ def test_apply_local_maps_rejects_singular():
         sf.apply_local_maps(pc.cfr_state(1.0), maps)
 
 
-def reference_filter_map(bloch3, rank_tol):
+def reference_filter_map(bloch3):
     """Bloch map of (2 rho)^(-1/2) built from eigh and the Pauli traces."""
     rho = 0.5 * (
         pc.SIGMA_0 + bloch3[0] * pc.SIGMA_Z + bloch3[1] * pc.SIGMA_X + bloch3[2] * pc.SIGMA_Y
     )
     w, v = np.linalg.eigh(rho)
-    if w.min() <= rank_tol:
+    if w.min() <= sf.RANK_TOL:
         raise sf.SingularMarginal(
-            f"marginal eigenvalue {w.min():.3e} below rank tolerance {rank_tol:.1e}"
+            f"marginal eigenvalue {w.min():.3e} below rank tolerance {sf.RANK_TOL:.1e}"
         )
     op = (v * (2.0 * w) ** -0.5) @ v.conj().T
     return 0.5 * np.real(np.einsum("mab,bc,ncd,da->mn", pc.PAULI, op, pc.PAULI, op.conj().T))
 
 
-def random_bloch3(rng, magnitude):
-    direction = rng.normal(size=3)
+def random_bloch(rng, magnitude, size):
+    """Random Bloch vector: (z, x, y) for a qubit, (z, x) for a rebit."""
+    direction = rng.normal(size=size)
     return magnitude * direction / np.linalg.norm(direction)
+
+
+def reference_block(r):
+    """The eigh reference for Bloch vector r, restricted to the (0, z, x) block for rebits."""
+    k = len(r) + 1
+    return reference_filter_map(np.r_[r, np.zeros(4 - k)])[:k, :k]
 
 
 def test_closed_form_filter_matches_eigh_reference():
     rng = np.random.default_rng(48)
-    for magnitude in np.geomspace(1e-11, 0.999, 200):
-        r = random_bloch3(rng, magnitude)
-        m = sf._filter_map(r, 1e-6)
-        ref = reference_filter_map(r, 1e-6)
+    for magnitude, size in itertools.product(np.geomspace(1e-11, 0.999, 200), (3, 2)):
+        r = random_bloch(rng, magnitude, size)
+        m = sf._filter_map(r)
+        ref = reference_block(r)
+        assert m.shape == (size + 1, size + 1)
         assert np.abs(m - ref).max() <= 1e-12 * np.abs(ref).max()
         # the filter removes the marginal it was built from
-        np.testing.assert_allclose(m @ np.r_[1.0, r], [1.0, 0.0, 0.0, 0.0], atol=1e-10)
+        np.testing.assert_allclose(m @ np.r_[1.0, r], np.eye(size + 1)[0], atol=1e-10)
 
 
 def test_closed_form_filter_singular_threshold():
     rng = np.random.default_rng(49)
-    rank_tol = 1e-6
     # smallest marginal eigenvalue (1 - |r|)/2 just above, at and below the tolerance,
     # then unphysical marginals with |r| > 1
-    for smallest in (1.001 * rank_tol, 0.999 * rank_tol, 0.0, -1e-3, -0.8):
-        r = random_bloch3(rng, 1.0 - 2.0 * smallest)
+    smallest_values = (1.001 * sf.RANK_TOL, 0.999 * sf.RANK_TOL, 0.0, -1e-3, -0.8)
+    for smallest, size in itertools.product(smallest_values, (3, 2)):
+        r = random_bloch(rng, 1.0 - 2.0 * smallest, size)
         try:
-            ref = reference_filter_map(r, rank_tol)
+            ref = reference_block(r)
         except sf.SingularMarginal as exc:
             with pytest.raises(sf.SingularMarginal) as got:
-                sf._filter_map(r, rank_tol)
+                sf._filter_map(r)
             if smallest != 0.0:  # eigh puts round-off on an exact zero
                 assert str(got.value) == str(exc)
         else:
-            np.testing.assert_allclose(sf._filter_map(r, rank_tol), ref, rtol=1e-9)
+            np.testing.assert_allclose(sf._filter_map(r), ref, rtol=1e-9)
     # the pure marginal of a product state
-    r = np.array([1.0, 0.0, 0.0])
-    with pytest.raises(sf.SingularMarginal, match="below rank tolerance 1.0e-06"):
-        sf._filter_map(r, rank_tol)
+    for r in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0])):
+        with pytest.raises(sf.SingularMarginal, match="below rank tolerance 1.0e-06"):
+            sf._filter_map(r)
 
 
 def reference_signed_svd(block):
