@@ -55,7 +55,6 @@ from .witness import (
     bounds,
     evaluate_witness,
     numeric_separability_eigs,
-    ordinary_spectrum,
 )
 
 __all__ = [
@@ -99,7 +98,6 @@ __all__ = [
     "bounds",
     "evaluate_witness",
     "numeric_separability_eigs",
-    "ordinary_spectrum",
 ]
 
 __version__ = "0.1.0"

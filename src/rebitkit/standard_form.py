@@ -248,9 +248,12 @@ def _to_standard_form(g: np.ndarray, field: NumberField) -> StandardFormResult:
 
 
 def apply_local_maps(g_std: np.ndarray, maps: LocalMapPair) -> np.ndarray:
-    """Invert the standard-form reduction: a_map^-1 g_std b_map^-T, renormalized."""
+    """Invert the standard-form reduction: a_map^-1 g_std b_map^-T, renormalized.
+
+    ``g_std`` takes the checks of ``check_correlation``, which name a NaN entry.
+    """
     maps.validate()
-    g_std = np.asarray(g_std, float)
+    g_std = check_correlation(g_std)
     out = np.linalg.solve(maps.a_map, g_std)
     out = np.linalg.solve(maps.b_map, out.T).T
     if abs(out[0, 0]) < 1e-12:

@@ -101,44 +101,21 @@ def analytic_spectrum(obs: DiagObservable, field: NumberField) -> list[Separabil
     return pairs
 
 
-def ordinary_spectrum(obs: DiagObservable) -> list[tuple[float, np.ndarray]]:
-    """Ordinary eigendecomposition: the four Bell states with their eigenvalues."""
-    s = 1.0 / np.sqrt(2.0)
-    # kets in the (|11>, |10>, |01>, |00>) product basis
-    bell = [
-        np.array([s, 0, 0, s]),    # (|HH> + |VV>)/sqrt2
-        np.array([s, 0, 0, -s]),   # (|HH> - |VV>)/sqrt2
-        np.array([0, s, s, 0]),    # (|HV> + |VH>)/sqrt2
-        np.array([0, s, -s, 0]),   # (|HV> - |VH>)/sqrt2
-    ]
-    values = [
-        obs.lz + obs.lx - obs.ly,
-        obs.lz - obs.lx + obs.ly,
-        -obs.lz + obs.lx + obs.ly,
-        -obs.lz - obs.lx - obs.ly,
-    ]
-    return [(float(v), np.outer(k, k.conj())) for v, k in zip(values, bell)]
-
-
-# Bloch parts c of lam^T (1, a) and d of lam (1, b): Bob's reduced operator
-# is (c0 + c.sigma)/4 and Alice's is (d0 + d.sigma)/4
-def _reduced_bob(lam: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return lam[0, 1:] + a @ lam[1:, 1:]
-
-
-def _reduced_alice(lam: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return lam[1:, 0] + b @ lam[1:, 1:].T
-
-
 def _unit(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     """Rows of ``v`` scaled to unit length; a vanishing row keeps ``fallback``."""
-    n = np.linalg.norm(v, axis=-1, keepdims=True)
+    n = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))  # np.linalg.norm's arithmetic
+    if n.min() >= 1e-300:  # False for NaN too
+        return v / n
     return np.where(n > 0.0, v / np.maximum(n, 1e-300), fallback)
 
 
 def _gradient(lam: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Reduced operators c, d, the values a.d, b.c and the gradient rows on the spheres."""
-    c, d = _reduced_bob(lam, a), _reduced_alice(lam, b)
+    """Reduced operators c, d, the values a.d, b.c and the gradient rows on the spheres.
+
+    c and d are the Bloch parts of lam^T (1, a) and lam (1, b): Bob's reduced
+    operator is (c0 + c.sigma)/4 and Alice's is (d0 + d.sigma)/4.
+    """
+    c, d = lam[0, 1:] + a @ lam[1:, 1:], lam[1:, 0] + b @ lam[1:, 1:].T
     ad, bc = np.sum(a * d, axis=1, keepdims=True), np.sum(b * c, axis=1, keepdims=True)
     return c, d, ad, bc, np.hstack([d - ad * a, c - bc * b])
 
@@ -206,11 +183,18 @@ def _correlation(obs: np.ndarray, n_starts: int) -> np.ndarray:
     obs = np.asarray(obs, dtype=float)
     if obs.shape != (4, 4):
         raise ValueError(f"observable must be 4x4, got {obs.shape}")
+    if not np.isfinite(obs).all():
+        i, j = np.argwhere(~np.isfinite(obs))[0]
+        raise ValueError(f"observable has a non-finite entry: L[{i},{j}] = {float(obs[i, j])!r}")
     if np.abs(obs - obs.T).max() > 1e-12 * (np.abs(obs).max() + 1.0):
         raise ValueError("observable must be symmetric")
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
-    return np.real(np.einsum("ij,mnji->mn", obs, KRON))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = np.real(np.einsum("ij,mnji->mn", obs, KRON))
+        if not np.isfinite(_scale(lam)):
+            raise ValueError("observable too large: the norm of its correlation matrix overflows")
+    return lam
 
 
 # a real track enters Newton only when its start meets the equations, or
@@ -237,14 +221,22 @@ def _stationary_rows(lam: np.ndarray, field: NumberField, n_starts: int):
         a, rounds = _real_candidates(lam), 0
     else:
         a, rounds = _fibonacci_sphere(n_starts), 20
-    # per start, one track follows best responses up towards a maximum and
-    # one down towards a minimum; over the reals only Bob responds, once
+    # per start, one track follows best responses (sign times the reduced
+    # operators) up towards a maximum and one down towards a minimum; over
+    # the reals only Bob responds, once.  Once a round leaves Alice's rows
+    # bit for bit as they were, Bob's next rows come from the same inputs
+    # (his fallback rows included), so every later round repeats it
     a, sign = np.tile(a, (2, 1)), np.repeat([1.0, -1.0], len(a))[:, None]
     b = np.tile(np.eye(a.shape[1])[0], (len(a), 1))
+    c0, d0, m, mt = lam[0, 1:], lam[1:, 0], lam[1:, 1:], lam[1:, 1:].T
+    key = a.tobytes()
     for _ in range(rounds):
-        b = _unit(sign * _reduced_bob(lam, a), b)
-        a = _unit(sign * _reduced_alice(lam, b), a)
-    b = _unit(sign * _reduced_bob(lam, a), b)
+        b = _unit((a @ m + c0) * sign, b)
+        a = _unit((b @ mt + d0) * sign, a)
+        before, key = key, a.tobytes()
+        if key == before:
+            break
+    b = _unit((a @ m + c0) * sign, b)
     if field is NumberField.REAL:
         # at a root one of Bob's responses +-c/|c| is stationary and the
         # other is not.  Newton takes the other track, and those from t0
@@ -276,16 +268,22 @@ def numeric_separability_eigs(
     solve is complete: Alice's stationary angles are the roots of one
     trigonometric polynomial, so every solution at which Bob's reduced
     operator is not a multiple of the identity is found, up to continua of
-    solutions, which yield at least one pair each.  Over the complex
-    numbers, best responses from a Fibonacci grid of ``n_starts`` points
-    on Alice's Bloch sphere reach the local extrema, with no completeness
-    claim.  Newton steps polish both, stepping only the rows whose gradient
-    is not yet within the acceptance tolerance; pairs that miss the
-    equations by more than 1e-10 (scaled by the observable norm) are
-    dropped.  A pair is degenerate when one party's reduced operator is a
-    multiple of the identity, so every state of the other party solves its
-    equation.  The result is deduplicated, sorted by value and
-    deterministic; ``seed`` has no effect and is kept for compatibility.
+    solutions, which yield at least one pair each; but a degenerate pair
+    where Bob's reduced operator vanishes away from the two stationary
+    angles of Alice's local term is found only if some track reaches it by
+    chance (the extremes, and so ``bounds``, sit at roots or at those
+    angles).  Over the complex numbers, best responses from a Fibonacci
+    grid of ``n_starts`` points on Alice's Bloch sphere reach the local
+    extrema, with no completeness claim, in at most 20 rounds, stopping
+    at a round that moves no bit.  Newton steps polish both, stepping only
+    the rows whose gradient is not yet within the acceptance tolerance;
+    pairs that miss the equations by more than 1e-10 (scaled by the
+    observable norm) are dropped.  A pair is degenerate when one party's
+    reduced operator is a multiple of the identity, so every state of the
+    other party solves its equation.  The result is deduplicated, sorted
+    by value and deterministic; ``seed`` has no effect and is kept for
+    compatibility.  Non-finite observables, and those whose correlation
+    norm overflows, raise ValueError.
     """
     lam = _correlation(obs, n_starts)
     values, a, b, _, degenerate = _stationary_rows(lam, field, n_starts)

@@ -1,6 +1,7 @@
 """Smoke tests of the scripts under ``scripts/``, run in-process through their ``main``."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -94,3 +95,26 @@ def test_replicate_experiment_rejects_bad_visibility(tmp_path, capsys):
     assert exc.value.code == 2
     assert "negative weight for component 'mixed'" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_bench_writes_end_to_end_medians(tmp_path, capsys):
+    out = tmp_path / "BENCH_smoke.json"
+    args = ["--name", "smoke", "--workloads", "witness-bounds", "--seconds", "1", "--out", str(out)]
+    assert load_script("bench").main(args) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {out}"
+    doc = json.loads(out.read_text())
+    assert set(doc) == {"name", "commit", "dirty", "machine", "settings", "workloads"}
+    assert doc["name"] == "smoke"
+    assert set(doc["machine"]) == {"platform", "machine", "nproc", "python", "numpy", "blas"}
+    assert doc["settings"] == {"seconds": 1.0, "seeds": [1], "repeats": 1}
+    assert list(doc["workloads"]) == ["witness-bounds"]
+    run = doc["workloads"]["witness-bounds"]
+    assert set(run) == {"runs", "correct", "attempted", "failed", "digests", "metrics"}
+    assert run["runs"] == 1 and run["correct"] is True and run["failed"] == 0
+    assert list(run["digests"]) == ["1"] and len(run["digests"]["1"]) == 1
+    declared = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    assert {name: m["unit"] for name, m in run["metrics"].items()} == {
+        m["name"]: m["unit"] for m in declared
+    }
+    for m in run["metrics"].values():
+        assert m["values"] == [m["median"]] and m["median"] > 0

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +225,19 @@ def test_apply_local_maps_scaling_fixed_point():
     g = np.diag([1.0, 0, 0, 0])
     maps = sf.LocalMapPair(np.diag([1.0, 2, 2, 2]), np.eye(4), NF.COMPLEX)
     np.testing.assert_allclose(sf.apply_local_maps(g, maps), g, atol=1e-15)
+
+
+@pytest.mark.parametrize("i, j, bad", [(1, 2, np.nan), (0, 0, np.nan), (3, 3, -np.inf)])
+def test_apply_local_maps_names_non_finite_entry(i, j, bad):
+    # a NaN in g_std used to come back as an all-NaN matrix with no diagnostic
+    g = pc.cfr_state(1.0)
+    g[i, j] = bad
+    maps = sf.LocalMapPair(np.eye(4), np.eye(4), NF.COMPLEX)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            sf.apply_local_maps(g, maps)
+    assert str(info.value) == f"correlation matrix has a non-finite entry: gamma[{i},{j}] = {bad!r}"
 
 
 def test_apply_local_maps_rejects_singular():

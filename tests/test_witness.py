@@ -72,23 +72,6 @@ def test_analytic_real_max():
     assert max(p.value for p in pairs) == 2.0
 
 
-def test_ordinary_spectrum_values():
-    vals = sorted(v for v, _ in wt.ordinary_spectrum(wt.DiagObservable(1, 1, 0)))
-    assert vals == [-2.0, 0.0, 0.0, 2.0]
-    vals = sorted(v for v, _ in wt.ordinary_spectrum(wt.DiagObservable(0, 0, 1)))
-    assert vals == [-1.0, -1.0, 1.0, 1.0]
-    vals = [v for v, _ in wt.ordinary_spectrum(wt.DiagObservable(0, 0, 0))]
-    assert vals == [0.0, 0.0, 0.0, 0.0]
-
-
-def test_ordinary_spectrum_eigenvector_identity():
-    obs = wt.DiagObservable(0.3, -0.8, 1.1)
-    m = obs.matrix()
-    for value, state in wt.ordinary_spectrum(obs):
-        # L rho = value * rho for the projector onto the eigenvector
-        np.testing.assert_allclose(m @ state, value * state, atol=1e-12)
-
-
 def test_numeric_sigma_yy_real_degenerate():
     pairs = wt.numeric_separability_eigs(
         wt.SIGMA_YY.matrix(), NF.REAL, n_starts=6, seed=0
@@ -206,7 +189,7 @@ def test_bounds_ordering_dominance():
         obs = wt.DiagObservable(*rng.normal(size=3))
         lo_r, hi_r = wt.bounds(obs, NF.REAL)
         lo_c, hi_c = wt.bounds(obs, NF.COMPLEX)
-        ordinary = [v for v, _ in wt.ordinary_spectrum(obs)]
+        ordinary = np.linalg.eigvalsh(obs.matrix())
         assert min(ordinary) <= lo_c <= lo_r <= hi_r <= hi_c <= max(ordinary)
 
 
@@ -225,7 +208,7 @@ def test_bell_states_violate_real_bound():
     # CHSH-type: Bell states reach |lz| + |lx|, above max{|lz|, |lx|}
     obs = wt.DiagObservable(1.0, 1.0, 0.0)
     _, hi_r = wt.bounds(obs, NF.REAL)
-    top = max(v for v, _ in wt.ordinary_spectrum(obs))
+    top = max(np.linalg.eigvalsh(obs.matrix()))
     assert top == pytest.approx(abs(obs.lz) + abs(obs.lx))
     assert top > hi_r
 
@@ -435,3 +418,130 @@ def test_real_tracks_entering_newton_all_converge(monkeypatch):
     for m in [random_symmetric(rng) for _ in range(50)] + witness_workload_observables():
         wt.bounds(m, NF.REAL)
     assert len(residuals) == 56 and max(r.max() for r in residuals) < 1.0
+
+
+def reference_unit(v, fallback):
+    """Rows of v scaled to unit length through np.linalg.norm (reference)."""
+    n = np.linalg.norm(v, axis=-1, keepdims=True)
+    return np.where(n > 0.0, v / np.maximum(n, 1e-300), fallback)
+
+
+def reference_stationary_rows(lam, field, n_starts):
+    """The solver with all 20 best-response rounds over the complex numbers (reference)."""
+    scale = wt._scale(lam)
+    tol = 1e-10 * scale
+    if field is NF.REAL:
+        lam = lam[:3, :3]
+        a, rounds = wt._real_candidates(lam), 0
+    else:
+        a, rounds = wt._fibonacci_sphere(n_starts), 20
+    a, sign = np.tile(a, (2, 1)), np.repeat([1.0, -1.0], len(a))[:, None]
+    b = np.tile(np.eye(a.shape[1])[0], (len(a), 1))
+    for _ in range(rounds):
+        b = reference_unit(sign * (lam[0, 1:] + a @ lam[1:, 1:]), b)
+        a = reference_unit(sign * (lam[1:, 0] + b @ lam[1:, 1:].T), a)
+    b = reference_unit(sign * (lam[0, 1:] + a @ lam[1:, 1:]), b)
+    if field is NF.REAL:
+        c, _, _, _, grad = wt._gradient(lam, a, b)
+        off = np.minimum(np.linalg.norm(grad, axis=1), np.linalg.norm(c, axis=1))
+        keep = off < wt._REAL_START_TOL * scale
+        a, b = a[keep], b[keep]
+    a, b, c, d, residual = wt._newton(lam, a, b, tol)
+    values = 0.25 * (lam[0, 0] + a @ lam[1:, 0] + np.sum(b * c, axis=1)) + 0.0
+    degenerate = np.minimum(np.linalg.norm(c, axis=1), np.linalg.norm(d, axis=1)) < 1e-9 * scale
+    ok = residual < tol
+    return values[ok], a[ok], b[ok], residual[ok], degenerate[ok]
+
+
+def solver_bits(m, field, n_starts):
+    """Bounds and every pair of both solvers, as bytes, so that -0.0 differs from 0.0."""
+    lo, hi = wt.bounds(m, field, n_starts=n_starts)
+    pairs = wt.numeric_separability_eigs(m, field, n_starts=n_starts)
+    return np.array([lo, hi]).tobytes(), [
+        (np.float64(p.value).tobytes(), p.alice.bloch.tobytes(), p.bob.bloch.tobytes(),
+         p.alice.label, p.bob.label, p.field, p.degenerate)
+        for p in pairs
+    ]
+
+
+def test_solver_bit_identical_to_reference(monkeypatch):
+    # the fixed-point exit and the lean rounds and norms change no bit of
+    # either solver's output, in either field, at the default and a small odd grid
+    rng = np.random.default_rng(53)
+    ms = [random_symmetric(rng) for _ in range(100)] + witness_workload_observables()
+    cases = [(m, field, n) for m in ms for field in (NF.REAL, NF.COMPLEX) for n in (64, 7)]
+    got = [solver_bits(*case) for case in cases]
+    monkeypatch.setattr(wt, "_unit", reference_unit)
+    monkeypatch.setattr(wt, "_stationary_rows", reference_stationary_rows)
+    for case, bits in zip(cases, got):
+        assert bits == solver_bits(*case)
+
+
+def test_workload_bounds_pinned():
+    # nine significant digits, as the benchmark's witness workload prints them
+    texts = [
+        ["{:.9g} {:.9g}".format(*wt.bounds(m, field)) for field in (NF.REAL, NF.COMPLEX)]
+        for m in witness_workload_observables()
+    ]
+    assert texts == [
+        ["-2.06968295 0.566520019", "-2.06968295 0.566520019"],
+        ["-0.8 0.8", "-0.8 0.8"],
+        ["0 0", "-1 1"],
+        ["-0.566520019 2.06968295", "-0.566520019 2.06968295"],
+        ["-0.8 0.8", "-0.8 0.8"],
+        ["0 0", "-1 1"],
+    ]
+
+
+def best_response_rounds(monkeypatch, m, field):
+    """Rounds of the best-response loop, from the _unit calls before Newton starts."""
+    calls, at_newton = [0], []
+    unit, newton = wt._unit, wt._newton
+
+    def counting_unit(v, fallback):
+        calls[0] += 1
+        return unit(v, fallback)
+
+    def marking_newton(*args):
+        at_newton.append(calls[0])
+        return newton(*args)
+
+    monkeypatch.setattr(wt, "_unit", counting_unit)
+    monkeypatch.setattr(wt, "_newton", marking_newton)
+    wt.bounds(m, field)
+    monkeypatch.undo()
+    return (at_newton[0] - 1) // 2  # two per round, and one for Bob's last response
+
+
+def test_rank_one_correlation_leaves_loop_at_fixed_point(monkeypatch):
+    # sigma_y (x) sigma_y is a rank-one correlation block: its best responses
+    # repeat bit for bit after the first round
+    assert best_response_rounds(monkeypatch, wt.SIGMA_YY.matrix(), NF.COMPLEX) <= 2
+    assert best_response_rounds(monkeypatch, wt.SIGMA_YY.matrix(), NF.REAL) == 0
+    general = witness_workload_observables()[0]
+    assert best_response_rounds(monkeypatch, general, NF.COMPLEX) == 20
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_observable_rejected(bad):
+    m = random_symmetric(np.random.default_rng(59))
+    m[1, 2] = bad
+    for field in (NF.REAL, NF.COMPLEX):
+        for solve in (wt.numeric_separability_eigs, wt.bounds):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError) as info:
+                    solve(m, field)
+            assert str(info.value) == f"observable has a non-finite entry: L[1,2] = {bad!r}"
+
+
+@pytest.mark.parametrize("size", [1e154, 1e300, np.finfo(float).max])
+def test_observable_whose_correlation_overflows_rejected(size):
+    m = np.full((4, 4), size)
+    m[0, 3] = m[3, 0] = -size
+    for field in (NF.REAL, NF.COMPLEX):
+        for solve in (wt.numeric_separability_eigs, wt.bounds):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="observable too large"):
+                    solve(m, field)
