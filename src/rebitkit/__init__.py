@@ -14,9 +14,7 @@ from .pauli_core import (
     correlation_from_density,
     density_from_correlation,
     hs_distance,
-    hs_inner,
     is_physical,
-    polarization_state,
     product_correlation,
     real_projection,
     similarity,
@@ -65,9 +63,7 @@ __all__ = [
     "correlation_from_density",
     "density_from_correlation",
     "hs_distance",
-    "hs_inner",
     "is_physical",
-    "polarization_state",
     "product_correlation",
     "real_projection",
     "similarity",

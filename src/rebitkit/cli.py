@@ -86,8 +86,10 @@ def _round9(a) -> float | list:
     reads back exactly; non-finite entries pass through unchanged.
     """
     a = np.asarray(a, dtype=float)
-    rounded = [float(f"{x:.9g}") for x in a.ravel().tolist()]
-    return np.array(rounded).reshape(a.shape).tolist()
+    # one C-level format of every entry; "%.9g" % x is f"{x:.9g}"
+    text = ("%.9g " * a.size) % tuple(a.ravel().tolist())
+    rounded = list(map(float, text.split()))
+    return rounded if a.ndim == 1 else np.array(rounded).reshape(a.shape).tolist()
 
 
 def _parse_params(rest: str, spec: str) -> dict[str, float]:
@@ -253,8 +255,8 @@ def read_counts(path: str) -> CountsDataset:
 # report document
 
 def _witness_dict(v: WitnessVerdict, observable: str = "sigma_y x sigma_y") -> dict:
-    expectation, sigma, *bounds = _round9(
-        [v.expectation, v.sigma, *v.bounds_real, *v.bounds_complex]
+    expectation, sigma, *bounds, significance = _round9(
+        [v.expectation, v.sigma, *v.bounds_real, *v.bounds_complex, v.significance]
     )
     return {
         "observable": observable,
@@ -265,21 +267,24 @@ def _witness_dict(v: WitnessVerdict, observable: str = "sigma_y x sigma_y") -> d
         "r_entangled": v.r_entangled,
         "c_entangled": v.c_entangled,
         # infinite when sigma = 0 and the verdict is certain: JSON has no such number
-        "significance": None if math.isinf(v.significance) else _round9(v.significance),
+        "significance": None if math.isinf(significance) else significance,
     }
 
 
 def _decomposition_block(d: QuasiDecomposition, distance_sigma: float, residual_sigma: float) -> dict:
-    table = d.weight_table()
-    table[np.abs(table) < 1e-12] = 0.0
-    distance, distance_sigma, residual, residual_sigma = _round9(
-        [d.distance, distance_sigma, d.residual_coeff, residual_sigma]
-    )
+    n = len(d.weights)
+    table = np.where(np.abs(d.weights) < 1e-12, 0.0, d.weights)
+    *entries, distance, distance_sigma, residual, residual_sigma = _round9(np.concatenate(
+        [table.ravel(), d.alice.ravel(), d.bob.ravel(),
+         [d.distance, distance_sigma, d.residual_coeff, residual_sigma]]
+    ))
+    # n x n weights, then Alice's and Bob's n Bloch 4-vectors
+    states = [entries[i:i + 4] for i in range(n * n, len(entries), 4)]
     return {
         "alphabet": list(d.alphabet),
-        "weights": _round9(table),
-        "alice_states": dict(zip(d.alphabet, _round9(d.alice))),
-        "bob_states": dict(zip(d.alphabet, _round9(d.bob))),
+        "weights": [entries[i:i + n] for i in range(0, n * n, n)],
+        "alice_states": dict(zip(d.alphabet, states[:n])),
+        "bob_states": dict(zip(d.alphabet, states[n:])),
         "distance": distance,
         "distance_sigma": distance_sigma,
         "residual_coeff": residual,
@@ -338,10 +343,11 @@ def run_analysis(
     if target_gamma is not None:
         value, sigma = _round9([similarity(gamma, target_gamma), sigmas[-1]])
         similarity_block = {"target": provenance.get("target", ""), "value": value, "sigma": sigma}
+    gamma_rounded, sigma_rounded = _round9([gamma, estimated.sigma])
     doc = {
         "format": "rebitkit-report v1",
-        "provenance": {**provenance, "estimate_repaired": not np.array_equal(gamma_phys, gamma)},
-        "estimated": {"gamma": _round9(gamma), "sigma": _round9(estimated.sigma)},
+        "provenance": {**provenance, "estimate_repaired": bool((gamma_phys != gamma).any())},
+        "estimated": {"gamma": gamma_rounded, "sigma": sigma_rounded},
         "witness": witness,
         "similarity_to_target": similarity_block,
         "decompositions": {
@@ -361,51 +367,71 @@ def run_analysis(
 
 
 @functools.cache
-def _encoder(depth: int):
-    """Strict JSON C-encoder ``encode`` whose item separator starts a line at ``depth``."""
-    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "), allow_nan=False).encode
+def _encoder(depth: int, key_separator: str = ": "):
+    """Strict JSON C encoder whose item separator starts a line at ``depth``, built once.
+
+    ``"".join(_encoder(depth)(value, 0))`` encodes ``value``.  It keeps no circular-reference
+    marks, which a failed call would leave behind: ``_layout`` hands it no cycle.
+    """
+    return json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+        key_separator, ",\n" + "  " * depth, False, False, False,
+    )
 
 
 _CONTAINERS = (dict, list, tuple)
+_SCALARS = {str, int, float, bool, type(None)}
 
 
 def _holds_containers(values) -> bool:
-    return any(issubclass(kind, _CONTAINERS) for kind in set(map(type, values)))
+    kinds = set(map(type, values))
+    return not kinds <= _SCALARS and any(issubclass(kind, _CONTAINERS) for kind in kinds)
+
+
+def _flat_rows(rows) -> bool:
+    """True if ``rows`` are non-empty lists or tuples of scalars: a matrix when they are a list."""
+    return (set(map(type, rows)) <= {list, tuple} and all(rows)
+            and not _holds_containers(chain.from_iterable(rows)))
 
 
 def _layout(value, depth: int = 0) -> str:
     """``value`` laid out byte for byte as ``json.dumps(value, indent=2)``, at ``depth``.
 
-    A list without nested containers, a matrix (a list of such lists) and
-    each run of scalar items in a dict are one C-encoder call, whose item
-    separator carries the newline and indentation.  That cannot clash with
-    string contents: the encoder escapes every newline inside a string.
-    Only the remaining nesting is walked here.  Keys must be strings.
+    A list without nested containers, a matrix (a list of such lists), a
+    dict of such lists and each run of scalar items in a dict are one
+    C-encoder call, whose item separator carries the newline and
+    indentation.  That cannot clash with string contents: the encoder
+    escapes every newline inside a string.  Only the remaining nesting is
+    walked here.  Keys must be strings.
     """
     if not (isinstance(value, _CONTAINERS) and value):
-        return _encoder(depth)(value)
+        return "".join(_encoder(depth)(value, 0))
     inner = depth + 1
     pad = "\n" + "  " * inner
+    row_pad = pad + "  "
     if isinstance(value, dict):
+        if _flat_rows(value.values()):
+            # encoded at the entries' depth; the key separator ":\n" marks where a list opens
+            text = "".join(_encoder(inner + 1, ":\n")(value, 0))[1:-2]
+            body = text.replace(":\n[", ": [" + row_pad).replace("]," + row_pad, pad + "]," + pad)
+            return "{" + pad + body + pad + "]" + pad[:-2] + "}"
         parts, scalars = [], {}
         for key, item in value.items():
             if isinstance(item, _CONTAINERS) and item:
                 if scalars:
-                    parts.append(_encoder(inner)(scalars)[1:-1])
+                    parts.append("".join(_encoder(inner)(scalars, 0))[1:-1])
                     scalars = {}
-                parts.append(f"{_encoder(inner)(key)}: {_layout(item, inner)}")
+                parts.append(f"{''.join(_encoder(inner)(key, 0))}: {_layout(item, inner)}")
             else:
                 scalars[key] = item
         if scalars:
-            parts.append(_encoder(inner)(scalars)[1:-1])
+            parts.append("".join(_encoder(inner)(scalars, 0))[1:-1])
         return "{" + pad + ("," + pad).join(parts) + pad[:-2] + "}"
     if not _holds_containers(value):
-        body = _encoder(inner)(value)[1:-1]
-    elif (set(map(type, value)) <= {list, tuple} and all(value)
-          and not _holds_containers(chain.from_iterable(value))):
+        body = "".join(_encoder(inner)(value, 0))[1:-1]
+    elif _flat_rows(value):
         # encoded at the entries' depth, "]" + separator + "[" occurs only between rows
-        row_pad = pad + "  "
-        rows = _encoder(inner + 1)(value)[2:-2]
+        rows = "".join(_encoder(inner + 1)(value, 0))[2:-2]
         body = ("[" + row_pad + rows.replace("]," + row_pad + "[", pad + "]," + pad + "[" + row_pad)
                 + pad + "]")
     else:
@@ -442,7 +468,7 @@ def _quasi_csv(block: dict) -> str:
     alphabet = block["alphabet"]
     lines = ["," + ",".join(alphabet)]
     for label, row in zip(alphabet, block["weights"]):
-        lines.append(label + "," + ",".join(f"{w:.9g}" for w in row))
+        lines.append(label + "," + ",".join(map("{:.9g}".format, row)))
     return "\n".join(lines) + "\n"
 
 

@@ -97,22 +97,6 @@ class LocalState:
     bloch: np.ndarray
     label: str | None = None
 
-    def purity_error(self) -> float:
-        b = self.bloch
-        return abs(b[1] ** 2 + b[2] ** 2 + b[3] ** 2 - b[0] ** 2)
-
-    def is_rebit(self, tol: float = DEFAULT_TOL) -> bool:
-        return abs(self.bloch[IDX_Y]) <= tol
-
-
-def polarization_state(label: str) -> LocalState:
-    """Pauli eigenstate for one of the labels H, V, D, A, R, L."""
-    try:
-        bloch = POLARIZATION_BLOCH[label]
-    except KeyError:
-        raise ValueError(f"unknown polarization label {label!r}") from None
-    return LocalState(bloch=bloch.copy(), label=label)
-
 
 def check_correlation(g: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     g = np.asarray(g, dtype=float)

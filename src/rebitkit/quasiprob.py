@@ -37,9 +37,11 @@ from .standard_form import LocalMapPair, _check_physical, _to_standard_form
 REBIT_ALPHABET = ("H", "V", "D", "A")
 QUBIT_ALPHABET = ("H", "V", "D", "A", "R", "L")
 _ALPHABET = {NumberField.REAL: REBIT_ALPHABET, NumberField.COMPLEX: QUBIT_ALPHABET}
-# Bloch vectors of each field's alphabet, one column per label
-_COLUMNS = {fld: np.stack([POLARIZATION_BLOCH[lab] for lab in alphabet], axis=1)
-            for fld, alphabet in _ALPHABET.items()}
+# Bloch vectors of each field's alphabet, one column per label, once per local map
+_COLUMN_PAIRS = {
+    fld: np.stack([np.stack([POLARIZATION_BLOCH[lab] for lab in alphabet], axis=1)] * 2)
+    for fld, alphabet in _ALPHABET.items()
+}
 # largest normalization error and off-diagonal entry of a matrix in standard form
 STANDARD_FORM_TOL = 1e-8
 
@@ -85,15 +87,16 @@ def pstd(g_std: np.ndarray, field: NumberField) -> np.ndarray:
 
 def _pstd(g_std: np.ndarray, field: NumberField) -> np.ndarray:
     axes = (IDX_Z, IDX_X) if field is NumberField.REAL else (IDX_Z, IDX_X, IDX_Y)
-    uniform = g_std[0, 0]
+    diagonal = g_std.diagonal().tolist()
+    uniform = diagonal[0]
     for axis in axes:
-        uniform -= abs(g_std[axis, axis])
+        uniform -= abs(diagonal[axis])
     uniform /= 4.0 * len(axes)
     p = np.zeros((2 * len(axes), 2 * len(axes)))
     for block, axis in enumerate(axes):
-        c = g_std[axis, axis]
-        sl = slice(2 * block, 2 * block + 2)
-        p[sl, sl] = uniform + 0.25 * (abs(c) + c * np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        c = diagonal[axis]
+        same, flipped = uniform + 0.25 * (abs(c) + c), uniform + 0.25 * (abs(c) - c)
+        p[2 * block:2 * block + 2, 2 * block:2 * block + 2] = [[same, flipped], [flipped, same]]
     return p
 
 
@@ -115,23 +118,20 @@ def transform_quasi(p_std: np.ndarray, maps: LocalMapPair) -> QuasiDecomposition
 
 
 def _transform(p_std: np.ndarray, maps: LocalMapPair) -> QuasiDecomposition:
-    alphabet = _ALPHABET[maps.field]
-    pulled = []
-    for side, m in (("Alice", maps.a_map), ("Bob", maps.b_map)):
-        v = np.linalg.solve(m, _COLUMNS[maps.field])
-        small = np.abs(v[0]) < 1e-12
-        if small.any():
-            lab = alphabet[int(np.argmax(small))]
-            raise ValueError(f"local map annihilates basis state {lab!r} on {side}'s side")
-        pulled.append(v)
-    va, vb = pulled
-    weights = p_std * va[0][:, None] * vb[0][None, :]
+    # LAPACK solves each map of the stack on its own, as two solve() calls would
+    pulled = np.linalg.solve(np.array([maps.a_map, maps.b_map]), _COLUMN_PAIRS[maps.field])
+    small = np.abs(pulled[:, 0]) < 1e-12
+    if small.any():
+        side, label = divmod(int(np.argmax(small)), small.shape[1])  # Alice's first
+        raise ValueError(f"local map annihilates basis state {_ALPHABET[maps.field][label]!r} "
+                         f"on {('Alice', 'Bob')[side]}'s side")
+    va, vb = pulled[:, 0]
+    weights = p_std * va[:, None] * vb[None, :]
     total = sum(weights.ravel().tolist())  # in entry order, as local_reconstruction sums
     if abs(total) < 1e-12:
         raise ValueError("transformed weights sum to zero; cannot renormalize")
-    return QuasiDecomposition(
-        weights=weights / total, alice=(va / va[0]).T, bob=(vb / vb[0]).T, field=maps.field
-    )
+    alice, bob = (pulled / pulled[:, :1]).transpose(0, 2, 1)
+    return QuasiDecomposition(weights=weights / total, alice=alice, bob=bob, field=maps.field)
 
 
 def local_reconstruction(d: QuasiDecomposition) -> np.ndarray:
@@ -141,10 +141,8 @@ def local_reconstruction(d: QuasiDecomposition) -> np.ndarray:
     total = sum(weights.tolist())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"weights sum to {total!r}, expected 1")
-    n = len(d.weights)
-    alice = np.repeat(d.alice, n, axis=0)
-    bob = np.tile(d.bob, (n, 1))
-    return (alice.T * weights) @ bob
+    i, j = np.divmod(np.arange(len(weights)), len(d.weights))  # Alice's label i, Bob's j
+    return (d.alice[i].T * weights) @ d.bob[j]
 
 
 def decompose(g: np.ndarray, field: NumberField) -> tuple[QuasiDecomposition, float]:

@@ -35,6 +35,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -54,8 +56,9 @@ BLOCH_TOL = 1e-11
 RANK_TOL = 1e-6
 # relative gap below which eigenvalues of gamma eta gamma^T eta count as equal
 _DEGENERATE = 1e-9
-# every column order of a 2x2 or 3x3 block, one per row, in itertools.permutations order
-_PERMUTATIONS = {n: np.array(list(itertools.permutations(range(n)))) for n in (2, 3)}
+# the off-diagonal entries of a 4x4 matrix, and those of its first row and column
+_OFFDIAG = ~np.eye(4, dtype=bool)
+_MARGINALS = np.logical_xor.outer(np.arange(4) == 0, np.arange(4) == 0)
 
 
 class SingularMarginal(ValueError):
@@ -137,7 +140,7 @@ def _lorentz_frame(block: np.ndarray) -> np.ndarray:
         raise SingularMarginal(
             "no diagonal standard form: gamma eta gamma^T eta is not diagonalizable"
         ) from None
-    top = w.real >= (1.0 - _DEGENERATE) * w.real.max()
+    top = w.real >= (1.0 - _DEGENERATE) * np.maximum.reduce(w.real)
     x = (v[:, top] @ time_axis[top]).real
     return x[1:] / x[0]
 
@@ -151,7 +154,7 @@ def _frame_filter(bloch: np.ndarray) -> np.ndarray:
 
 
 def _marginal_residual(gamma: np.ndarray) -> float:
-    return float(max(np.abs(gamma[1:, 0]).max(), np.abs(gamma[0, 1:]).max()))
+    return float(np.maximum.reduce(np.abs(gamma[_MARGINALS[: len(gamma), : len(gamma)]])))
 
 
 def _signed_svd(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -164,25 +167,32 @@ def _signed_svd(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     factors.
     """
     u, s, vt = np.linalg.svd(block)
-    v = vt.T  # columns are the right singular vectors
-    perms = _PERMUTATIONS[len(block)]
-    # overlaps summed left to right and the first largest sum, as sum() and max() pick
-    overlap = np.cumsum(np.abs(u)[np.arange(len(block)), perms], axis=1)[:, -1]
-    order = perms[np.argmax(overlap)]
-    u = u[:, order]
-    v = v[:, order]
-    s = s[order]
-    du = np.where(np.diag(u) < 0.0, -1.0, 1.0)
-    dv = np.where(np.diag(v) < 0.0, -1.0, 1.0)
-    u = u * du
-    v = v * dv
+    overlap = np.abs(u).tolist()
+    # the first largest overlap, summed left to right (sum() compensates from Python 3.12 on)
+    order = np.array(max(itertools.permutations(range(len(block))),
+                         key=lambda perm: reduce(add, map(list.__getitem__, overlap, perm))))
+    u = u.take(order, axis=1)
+    v = vt.take(order, axis=0).T  # columns are the right singular vectors
+    s = s.take(order)
+    du = np.where(u.diagonal() < 0.0, -1.0, 1.0)
+    dv = np.where(v.diagonal() < 0.0, -1.0, 1.0)
+    u *= du
+    v *= dv
     s = s * du * dv
     for w in (u, v):
-        if np.linalg.det(w) < 0.0:
+        if _det(w.tolist()) < 0.0:
             j = int(np.argmin(np.abs(s)))
             w[:, j] *= -1.0
             s[j] *= -1.0
     return u, s, v
+
+
+def _det(m: list) -> float:
+    """Determinant of a 2x2 or 3x3 matrix as nested lists; of an orthogonal one, +-1 to round-off."""
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def to_standard_form(g: np.ndarray, field: NumberField) -> StandardFormResult:
@@ -240,7 +250,7 @@ def _to_standard_form(g: np.ndarray, field: NumberField) -> StandardFormResult:
     a2[1:, 1:] = u.T
     b2[1:, 1:] = v.T
     gamma_std[:k, :k] = a2 @ gamma @ b2.T
-    residual_offdiag = float(np.abs(gamma_std - np.diag(np.diag(gamma_std))).max())
+    residual_offdiag = float(np.abs(gamma_std[_OFFDIAG]).max())
     maps = LocalMapPair(a_map=_EYE4.copy(), b_map=_EYE4.copy(), field=field)
     maps.a_map[:k, :k] = a2 @ a_map
     maps.b_map[:k, :k] = b2 @ b_map

@@ -17,6 +17,7 @@ complex numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,8 +179,17 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     return np.stack([z, rho * np.cos(phi), rho * np.sin(phi)], axis=1)
 
 
-def _correlation(obs: np.ndarray, n_starts: int) -> np.ndarray:
-    """lam[m, n] = tr(L s_m (x) s_n), after the input checks of both public solvers."""
+# ||lam|| solved as it is: beyond it the real polynomial of degree 4 overflows
+# or underflows, and tolerances of 1e-10 (||L|| + 1) stop being relative
+_NORM_RANGE = (2.0**-4, 2.0**64)
+
+
+def _correlation(obs: np.ndarray, n_starts: int) -> tuple[np.ndarray, int]:
+    """lam[m, n] = tr(L s_m (x) s_n) times 2^-e, and e, after the input checks of both solvers.
+
+    For ||lam|| outside ``_NORM_RANGE``, e brings the largest |lam| entry into [1/2, 1);
+    otherwise it is 0.  A power of two rounds nothing: lam's values are 2^e times those solved.
+    """
     obs = np.asarray(obs, dtype=float)
     if obs.shape != (4, 4):
         raise ValueError(f"observable must be 4x4, got {obs.shape}")
@@ -192,9 +202,13 @@ def _correlation(obs: np.ndarray, n_starts: int) -> np.ndarray:
         raise ValueError("n_starts must be >= 1")
     with np.errstate(over="ignore", invalid="ignore"):
         lam = np.real(np.einsum("ij,mnji->mn", obs, KRON))
-        if not np.isfinite(_scale(lam)):
-            raise ValueError("observable too large: the norm of its correlation matrix overflows")
-    return lam
+        norm = np.linalg.norm(lam)  # 0 where its squares underflow
+    if not np.isfinite(norm):
+        raise ValueError("observable too large: the norm of its correlation matrix overflows")
+    if _NORM_RANGE[0] <= norm <= _NORM_RANGE[1]:
+        return lam, 0
+    exponent = math.frexp(np.abs(lam).max())[1]  # 0 for the zero observable
+    return np.ldexp(lam, -exponent), exponent
 
 
 # a real track enters Newton only when its start meets the equations, or
@@ -285,7 +299,7 @@ def numeric_separability_eigs(
     compatibility.  Non-finite observables, and those whose correlation
     norm overflows, raise ValueError.
     """
-    lam = _correlation(obs, n_starts)
+    lam, exponent = _correlation(obs, n_starts)
     values, a, b, _, degenerate = _stationary_rows(lam, field, n_starts)
     scale = _scale(lam)
     states = np.hstack([a, b])
@@ -306,7 +320,8 @@ def numeric_separability_eigs(
     a, b = (np.pad(v, pad, constant_values=((0, 0), (1, 0))) for v in (a, b))
     return [
         SeparabilityEigenpair(
-            float(values[i]), LocalState(a[i]), LocalState(b[i]), field, bool(degenerate[i])
+            math.ldexp(values[i], exponent), LocalState(a[i]), LocalState(b[i]), field,
+            bool(degenerate[i]),
         )
         for i in kept
     ]
@@ -331,10 +346,11 @@ def bounds(
         else:
             m = max(abs(obs.lz), abs(obs.lx), abs(obs.ly))
         return (-m + 0.0, m)
-    values = _stationary_rows(_correlation(obs, n_starts), field, n_starts)[0]
+    lam, exponent = _correlation(obs, n_starts)
+    values = _stationary_rows(lam, field, n_starts)[0]
     if not values.size:
         raise RuntimeError("separability solver returned no converged fixed points")
-    return (float(values.min()), float(values.max()))
+    return (math.ldexp(values.min(), exponent), math.ldexp(values.max(), exponent))
 
 
 def evaluate_witness(

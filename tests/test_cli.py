@@ -1,6 +1,9 @@
+import functools
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -793,8 +796,24 @@ def test_simulate_rejects_event_counts_beyond_float_precision(tmp_path, capsys):
     assert not out.exists()
 
 
+_HOSTILE_NAME = 'g", "], ["q\\"\\ é ψ\t.txt'
+
+
+def _hostile_documents() -> list:
+    hostile = {
+        "path": _HOSTILE_NAME,
+        "brackets": ["], [", '", "', "],\n  [", "\n"],
+        "numbers": [-0.0, 0, -1, True, False, None, 1e308, 5e-324],
+        "matrix": [[-0.0, 1], [True, "x"], ("t", 2.5)],
+        "ragged": [[1.0], [], [[2.0]], {}, {"k": []}],
+        "empty": [], "empty_dict": {}, "nested_empty": [[]],
+        _HOSTILE_NAME: {"a": [[1.0, 2.0]], "b": 3, "c": [{"d": [-0.0]}], "e": "f"},
+    }
+    return [hostile, [hostile, [hostile]], [], {}, "s", -0.0, 7, True, None]
+
+
 def test_report_writer_hostile_documents(tmp_path):
-    name = 'g", "], ["q\\"\\ é ψ\t.txt'
+    name = _HOSTILE_NAME
     path = _write_gamma(tmp_path / name, pc.cfr_state(0.25))
     out = tmp_path / "r.json"
     assert cli.main(["exact", "--state", f"gamma:{path}", "--target", f"gamma:{path}",
@@ -803,19 +822,96 @@ def test_report_writer_hostile_documents(tmp_path):
     assert text.isascii() and text == json.dumps(_strict_json(text), indent=2) + "\n"
     assert _strict_json(text)["provenance"]["state"] == f"gamma:{path}"
 
-    hostile = {
-        "path": name,
-        "brackets": ["], [", '", "', "],\n  [", "\n"],
-        "numbers": [-0.0, 0, -1, True, False, None, 1e308, 5e-324],
-        "matrix": [[-0.0, 1], [True, "x"], ("t", 2.5)],
-        "ragged": [[1.0], [], [[2.0]], {}, {"k": []}],
-        "empty": [], "empty_dict": {}, "nested_empty": [[]],
-        name: {"a": [[1.0, 2.0]], "b": 3, "c": [{"d": [-0.0]}], "e": "f"},
-    }
-    for doc in (hostile, [hostile, [hostile]], [], {}, "s", -0.0, 7, True, None):
+    for doc in _hostile_documents():
         assert cli._layout(doc) == json.dumps(doc, indent=2)
     with pytest.raises(ValueError, match="Out of range float"):
         cli._layout({"a": [[1.0, float("nan")]]})
+
+
+@functools.cache
+def _reference_encoder(depth: int):
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "), allow_nan=False).encode
+
+
+def _reference_holds_containers(values) -> bool:
+    return any(issubclass(kind, (dict, list, tuple)) for kind in set(map(type, values)))
+
+
+def reference_layout(value, depth: int = 0) -> str:
+    """_layout with one JSONEncoder.encode per call, and each dict of lists walked."""
+    containers = (dict, list, tuple)
+    if not (isinstance(value, containers) and value):
+        return _reference_encoder(depth)(value)
+    inner = depth + 1
+    pad = "\n" + "  " * inner
+    if isinstance(value, dict):
+        parts, scalars = [], {}
+        for key, item in value.items():
+            if isinstance(item, containers) and item:
+                if scalars:
+                    parts.append(_reference_encoder(inner)(scalars)[1:-1])
+                    scalars = {}
+                parts.append(f"{_reference_encoder(inner)(key)}: {reference_layout(item, inner)}")
+            else:
+                scalars[key] = item
+        if scalars:
+            parts.append(_reference_encoder(inner)(scalars)[1:-1])
+        return "{" + pad + ("," + pad).join(parts) + pad[:-2] + "}"
+    if not _reference_holds_containers(value):
+        body = _reference_encoder(inner)(value)[1:-1]
+    elif (set(map(type, value)) <= {list, tuple} and all(value)
+          and not _reference_holds_containers(itertools.chain.from_iterable(value))):
+        row_pad = pad + "  "
+        rows = _reference_encoder(inner + 1)(value)[2:-2]
+        body = ("[" + row_pad + rows.replace("]," + row_pad + "[", pad + "]," + pad + "[" + row_pad)
+                + pad + "]")
+    else:
+        body = ("," + pad).join(reference_layout(item, inner) for item in value)
+    return "[" + pad + body + pad[:-2] + "]"
+
+
+def test_layout_bit_equal_to_reference(tmp_path):
+    flat_lists = {
+        "H": [1.0, -0.0, 5e-324, -1e308],
+        "],\n  [": ["],\n  [", '"],\n  ["', ":\n[", "x:\n[", 'k": ['],
+        ":\n[": (True, None, 0, "\u00e9\t"),
+        "": [-0.0],
+    }
+    docs = _hostile_documents() + [
+        flat_lists,
+        {"a": flat_lists, "b": [flat_lists, {"c": [1.0]}]},
+        {"a": [1.0], "b": []},                 # an empty list among flat ones
+        {"a": [1.0], "b": [[]]},               # a nested empty
+        {"a": [[1.0]], "b": [2.0]},            # a matrix among flat ones
+        {"a": [1.0], "b": {}}, {"a": [1.0], "b": 2.0}, {"a": [{}]}, {"a": [[], [1.0]]},
+    ]
+    # report documents, analyze with every optional block among them
+    counts, out = tmp_path / "c.txt", tmp_path / "r.json"
+    cli.main(["simulate", "--state", "mix:HH=0.3,DD=0.3,RL=0.3,mixed=0.1", "--events", "3000",
+              "--seed", "5", "--out", str(counts)])
+    real_run_analysis = cli.run_analysis
+
+    def run_analysis(*args, **kwargs):
+        docs.append(real_run_analysis(*args, **kwargs))
+        return docs[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "run_analysis", run_analysis)
+        for argv in (["exact", "--state", "cfr:q=0.3"],
+                     ["exact", "--state", "bell:psi-", "--fields", "complex", "--observable", "1,1,0"],
+                     ["analyze", "--counts", str(counts), "--target", "cfr:q=0", "--mc-samples", "20",
+                      "--observable", "0.5,-2,1e-3", "--observable", "0,0,-1"]):
+            assert cli.main([*argv, "--out", str(out)]) == 0
+    assert len(docs) == len(_hostile_documents()) + 12
+    for doc in docs:
+        for depth in range(4):
+            assert cli._layout(doc, depth) == reference_layout(doc, depth)
+        assert cli._layout(doc) == json.dumps(doc, indent=2)
+    for bad in ({"a": [1.0, float("nan")]}, {"a": [[1.0, float("inf")]]}, [float("-inf")], {"a": {1}}):
+        with pytest.raises((ValueError, TypeError)) as want:
+            reference_layout(bad)
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            cli._layout(bad)
 
 
 _EDGE_FLOATS = [

@@ -124,18 +124,6 @@ def test_is_physical():
     assert not pc.is_physical(np.diag([1.0, 1.5, 0, 0]), 1e-9)
 
 
-def test_polarization_states():
-    assert np.array_equal(pc.polarization_state("H").bloch, [1, 1, 0, 0])
-    assert np.array_equal(pc.polarization_state("R").bloch, [1, 0, 0, 1])
-    assert np.array_equal(pc.polarization_state("A").bloch, [1, 0, -1, 0])
-    with pytest.raises(ValueError):
-        pc.polarization_state("Q")
-    for label in "HVDARL":
-        state = pc.polarization_state(label)
-        assert state.purity_error() == 0.0
-        assert state.is_rebit() == (label not in "RL")
-
-
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_roundtrip_density_correlation(seed):

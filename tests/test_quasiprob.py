@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -497,3 +499,115 @@ def test_decompose_kernel_keeps_the_off_diagonal_check(monkeypatch):
     with pytest.raises(ValueError) as exc:
         qp._decompose(pc.cfr_state(1.0), NF.REAL)
     assert str(exc.value) == "input is not in standard form (off-diagonal 2.000e-08)"
+
+
+# The decomposition kernels before they were leaned, kept as references: the
+# leaner kernels must reproduce them bit for bit.
+_SIGNED_SVD_ORDERS = {n: np.array(list(itertools.permutations(range(n)))) for n in (2, 3)}
+
+
+def reference_signed_svd(block):
+    """_signed_svd with its column order from a permutation table and np.linalg.det signs."""
+    u, s, vt = np.linalg.svd(block)
+    v = vt.T
+    perms = _SIGNED_SVD_ORDERS[len(block)]
+    overlap = np.cumsum(np.abs(u)[np.arange(len(block)), perms], axis=1)[:, -1]
+    order = perms[np.argmax(overlap)]
+    u, v, s = u[:, order], v[:, order], s[order]
+    du = np.where(np.diag(u) < 0.0, -1.0, 1.0)
+    dv = np.where(np.diag(v) < 0.0, -1.0, 1.0)
+    u, v, s = u * du, v * dv, s * du * dv
+    for w in (u, v):
+        if np.linalg.det(w) < 0.0:
+            j = int(np.argmin(np.abs(s)))
+            w[:, j] *= -1.0
+            s[j] *= -1.0
+    return u, s, v
+
+
+def reference_pstd(g_std, field):
+    """_pstd with numpy scalars and each 2x2 block from a sign-pattern array."""
+    axes = (pc.IDX_Z, pc.IDX_X) if field is NF.REAL else (pc.IDX_Z, pc.IDX_X, pc.IDX_Y)
+    uniform = g_std[0, 0]
+    for axis in axes:
+        uniform -= abs(g_std[axis, axis])
+    uniform /= 4.0 * len(axes)
+    p = np.zeros((2 * len(axes), 2 * len(axes)))
+    for block, axis in enumerate(axes):
+        c = g_std[axis, axis]
+        sl = slice(2 * block, 2 * block + 2)
+        p[sl, sl] = uniform + 0.25 * (abs(c) + c * np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    return p
+
+
+def reference_transform(p_std, maps):
+    """_transform with one solve per side."""
+    alphabet = qp.REBIT_ALPHABET if maps.field is NF.REAL else qp.QUBIT_ALPHABET
+    columns = np.stack([pc.POLARIZATION_BLOCH[lab] for lab in alphabet], axis=1)
+    va, vb = (np.linalg.solve(m, columns) for m in (maps.a_map, maps.b_map))
+    weights = p_std * va[0][:, None] * vb[0][None, :]
+    total = sum(weights.ravel().tolist())
+    return qp.QuasiDecomposition(weights / total, (va / va[0]).T, (vb / vb[0]).T, maps.field)
+
+
+def reference_local_reconstruction(d):
+    """local_reconstruction with np.repeat and np.tile."""
+    weights = d.weights.ravel()
+    n = len(d.weights)
+    return (np.repeat(d.alice, n, axis=0).T * weights) @ np.tile(d.bob, (n, 1))
+
+
+def _bits(*arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+def _decomposition_bits(d):
+    return _bits(d.weights, d.alice, d.bob) + [d.field]
+
+
+def lean_kernel_states(rng):
+    """Noisy pure states, random full-rank states, product mixtures and diagonal states."""
+    states = [random_full_rank_gamma(rng) for _ in range(200)]
+    for _ in range(200):
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = a @ a.conj().T
+        states.append(pc.correlation_from_density(rho / np.trace(rho).real))
+    states += [random_product_mixture(rng, k % 2 == 0) for k in range(100)]
+    states += [random_standard_form_gamma(rng) for _ in range(40)]
+    return states + [pc.cfr_state(q) for q in np.linspace(0.0, 1.0, 11)]
+
+
+@pytest.mark.parametrize("field", list(NF))
+def test_lean_kernels_bit_equal_to_references(field, monkeypatch):
+    compared = {"svd": 0, "pstd": 0, "transform": 0, "reconstruction": 0}
+
+    def checked(name, kernel, reference, bits):
+        def run(*args):
+            want = bits(reference(*args))
+            got = kernel(*args)
+            assert bits(got) == want
+            compared[name] += 1
+            return got
+        return run
+
+    monkeypatch.setattr(sf, "_signed_svd", checked(
+        "svd", sf._signed_svd, reference_signed_svd, lambda out: _bits(*out)))
+    monkeypatch.setattr(qp, "_pstd", checked("pstd", qp._pstd, reference_pstd, _bits))
+    monkeypatch.setattr(qp, "_transform", checked(
+        "transform", qp._transform, reference_transform, _decomposition_bits))
+    monkeypatch.setattr(qp, "local_reconstruction", checked(
+        "reconstruction", qp.local_reconstruction, reference_local_reconstruction, _bits))
+    decomposed = 0
+    for g in lean_kernel_states(np.random.default_rng(1717)):
+        try:
+            qp._decompose(g, field)
+        except sf.SingularMarginal:
+            continue
+        decomposed += 1
+    # diagonal blocks, with negative, zero and repeated entries
+    n = 3 if field is NF.COMPLEX else 2
+    for diagonal in ([0.5, -0.25, 0.125], [-0.3, -0.3, 0.0], [0.0, -0.0, -1.0], [-1.0, 1.0, -1.0]):
+        sf._signed_svd(np.diag(diagonal[:n]))
+    assert decomposed >= 540
+    assert min(compared.values()) == compared["pstd"] == decomposed
+    assert compared["svd"] == decomposed + 4

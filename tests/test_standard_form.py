@@ -205,7 +205,7 @@ def test_no_diagonal_form_reported(q):
 
 def test_singular_marginal_rejected():
     # pure product state: marginals are rank one
-    g = pc.product_correlation(pc.polarization_state("H"), pc.polarization_state("V"))
+    g = pc.product_correlation(pc.POLARIZATION_BLOCH["H"], pc.POLARIZATION_BLOCH["V"])
     with pytest.raises(sf.SingularMarginal):
         sf.to_standard_form(g, NF.COMPLEX)
 

@@ -75,8 +75,8 @@ def test_array_math_equals_per_setting_loops_bit_for_bit():
     labels = "HVDARL"
     for k in range(120):
         if k % 3 == 2:  # pure products put zeros among the outcome probabilities
-            g = pc.product_correlation(pc.polarization_state(labels[k % 6]),
-                                       pc.polarization_state(labels[k // 6 % 6]))
+            g = pc.product_correlation(pc.POLARIZATION_BLOCH[labels[k % 6]],
+                                       pc.POLARIZATION_BLOCH[labels[k // 6 % 6]])
         else:
             g = random_full_rank_gamma(rng, w_min=0.0)
         p = tm.outcome_probabilities(g)
@@ -234,8 +234,8 @@ def test_mix_single_identity():
 
 
 def test_mix_circular_products_gives_cfr():
-    gRR = pc.product_correlation(pc.polarization_state("R"), pc.polarization_state("R"))
-    gLL = pc.product_correlation(pc.polarization_state("L"), pc.polarization_state("L"))
+    gRR = pc.product_correlation(pc.POLARIZATION_BLOCH["R"], pc.POLARIZATION_BLOCH["R"])
+    gLL = pc.product_correlation(pc.POLARIZATION_BLOCH["L"], pc.POLARIZATION_BLOCH["L"])
     dsRR = tm.simulate_counts(gRR, 100_000, seed=1)
     dsLL = tm.simulate_counts(gLL, 100_000, seed=2)
     est = tm.estimate_correlations(tm.mix_datasets([(dsRR, 0.5), (dsLL, 0.5)]))
@@ -245,8 +245,8 @@ def test_mix_circular_products_gives_cfr():
 
 
 def test_mix_opposite_circulars_gives_cfr0():
-    gRL = pc.product_correlation(pc.polarization_state("R"), pc.polarization_state("L"))
-    gLR = pc.product_correlation(pc.polarization_state("L"), pc.polarization_state("R"))
+    gRL = pc.product_correlation(pc.POLARIZATION_BLOCH["R"], pc.POLARIZATION_BLOCH["L"])
+    gLR = pc.product_correlation(pc.POLARIZATION_BLOCH["L"], pc.POLARIZATION_BLOCH["R"])
     dsRL = tm.simulate_counts(gRL, 100_000, seed=3)
     dsLR = tm.simulate_counts(gLR, 100_000, seed=4)
     est = tm.estimate_correlations(tm.mix_datasets([(dsRL, 0.5), (dsLR, 0.5)]))
@@ -257,7 +257,7 @@ def test_mix_all_circulars_gives_mixed():
     parts = []
     for i, pair in enumerate(("RR", "LL", "RL", "LR")):
         g = pc.product_correlation(
-            pc.polarization_state(pair[0]), pc.polarization_state(pair[1])
+            pc.POLARIZATION_BLOCH[pair[0]], pc.POLARIZATION_BLOCH[pair[1]]
         )
         parts.append((tm.simulate_counts(g, 50_000, seed=10 + i), 1.0))
     est = tm.estimate_correlations(tm.mix_datasets(parts))
@@ -452,7 +452,7 @@ def _boundary_stacks():
     rng = np.random.default_rng(2021)
     bell = [np.diag(d) for d in
             ([1.0, 1, 1, -1], [1.0, 1, -1, 1], [1.0, -1, 1, 1], [1.0, -1, -1, -1])]
-    products = [pc.product_correlation(pc.polarization_state(a), pc.polarization_state(b))
+    products = [pc.product_correlation(pc.POLARIZATION_BLOCH[a], pc.POLARIZATION_BLOCH[b])
                 for a in "HVDARL" for b in "HVDARL"]
     bell_samples = _samples(bell[0], 1000, 300, seed=3)
     lab = [pc.cfr_state(0.98), random_full_rank_gamma(rng, 0.2, 0.4), random_full_rank_gamma(rng)]

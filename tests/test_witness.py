@@ -545,3 +545,29 @@ def test_observable_whose_correlation_overflows_rejected(size):
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="observable too large"):
                     solve(m, field)
+
+
+def test_extreme_observables_scale_exactly():
+    # the solvers run outside their range on the observable scaled by a power
+    # of two, so an observable times 10^k has its values times 10^k, up to
+    # where the norm of the correlation matrix overflows
+    rng = np.random.default_rng(67)
+    for m in (random_symmetric(rng), 1e6 * random_symmetric(rng)):
+        for field in (NF.REAL, NF.COMPLEX):
+            want_bounds = np.array(wt.bounds(m, field))
+            want_values = np.array([p.value for p in wt.numeric_separability_eigs(m, field)])
+            for k in range(-300, 151, 10):
+                scaled, factor = m * 10.0**k, 10.0**k
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    # ||lam|| = 2 ||L||, and its square overflows beyond 1.3e154
+                    if 2.0 * np.linalg.norm(m) * factor > 2e154:
+                        for solve in (wt.bounds, wt.numeric_separability_eigs):
+                            with pytest.raises(ValueError, match="observable too large"):
+                                solve(scaled, field)
+                        continue
+                    got_bounds = wt.bounds(scaled, field)
+                    got_values = [p.value for p in wt.numeric_separability_eigs(scaled, field)]
+                np.testing.assert_allclose(got_bounds, want_bounds * factor, rtol=1e-9, atol=0)
+                assert len(got_values) == len(want_values)
+                np.testing.assert_allclose(got_values, want_values * factor, rtol=1e-9, atol=0)
