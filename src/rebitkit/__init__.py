@@ -24,9 +24,7 @@ from .quasiprob import (
     decompose,
     expansion_error,
     local_reconstruction,
-    pstd,
     separability_certificate,
-    transform_quasi,
 )
 from .standard_form import (
     LocalMapPair,
@@ -71,9 +69,7 @@ __all__ = [
     "decompose",
     "expansion_error",
     "local_reconstruction",
-    "pstd",
     "separability_certificate",
-    "transform_quasi",
     "LocalMapPair",
     "SingularMarginal",
     "StandardFormResult",

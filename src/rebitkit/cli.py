@@ -324,15 +324,13 @@ def run_analysis(
     sigmas = np.zeros(2 * len(fields) + (target_gamma is not None))
     mc_block = None
     if mc_samples and estimated.sigma.max() > 0.0:
-        # columns: distance and residual per field, then the similarity
-        def mc_outputs(samples: np.ndarray) -> np.ndarray:
+        try:
+            samples = monte_carlo_propagate(estimated, mc_samples, mc_seed)
+            # columns: distance and residual per field, then the similarity
             columns = [c for fld in fields for c in expansion_error(samples, fld)]
             if target_gamma is not None:
                 columns.append(similarity(samples, target_gamma))
-            return np.stack(columns, axis=-1)
-
-        try:
-            _, sigmas = monte_carlo_propagate(estimated, mc_samples, mc_seed, mc_outputs)
+            sigmas = np.stack(columns, axis=-1).std(axis=0, ddof=1)
         except MemoryError:
             raise ValueError(
                 f"--mc-samples {mc_samples} needs more memory than is available"

@@ -25,7 +25,6 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
-AXES = ("0", "z", "x", "y")
 IDX_0, IDX_Z, IDX_X, IDX_Y = 0, 1, 2, 3
 
 SIGMA_0 = np.eye(2, dtype=complex)

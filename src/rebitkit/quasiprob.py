@@ -42,7 +42,7 @@ _COLUMN_PAIRS = {
     fld: np.stack([np.stack([POLARIZATION_BLOCH[lab] for lab in alphabet], axis=1)] * 2)
     for fld, alphabet in _ALPHABET.items()
 }
-# largest normalization error and off-diagonal entry of a matrix in standard form
+# largest off-diagonal entry of a matrix in standard form
 STANDARD_FORM_TOL = 1e-8
 
 
@@ -73,19 +73,8 @@ class QuasiDecomposition:
         return self.weights.copy()
 
 
-def pstd(g_std: np.ndarray, field: NumberField) -> np.ndarray:
-    """Closed-form weights over the field's alphabet squared for a diagonal state.
-
-    One 2x2 block per Pauli axis of the field: z and x, plus y over the complex numbers.
-    """
-    g_std = check_correlation(g_std, STANDARD_FORM_TOL)
-    off = np.abs(g_std - np.diag(np.diag(g_std))).max()
-    if off > STANDARD_FORM_TOL:
-        raise ValueError(f"input is not in standard form (off-diagonal {off:.3e})")
-    return _pstd(g_std, field)
-
-
 def _pstd(g_std: np.ndarray, field: NumberField) -> np.ndarray:
+    """Closed-form weights of a diagonal state: one 2x2 block per Pauli axis of the field."""
     axes = (IDX_Z, IDX_X) if field is NumberField.REAL else (IDX_Z, IDX_X, IDX_Y)
     diagonal = g_std.diagonal().tolist()
     uniform = diagonal[0]
@@ -100,24 +89,8 @@ def _pstd(g_std: np.ndarray, field: NumberField) -> np.ndarray:
     return p
 
 
-def transform_quasi(p_std: np.ndarray, maps: LocalMapPair) -> QuasiDecomposition:
-    """Transport standard-form weights back through the inverse local maps.
-
-    Each basis state's Bloch vector is pulled back and renormalized by its
-    time-like component; weights pick up the product of those components
-    and are renormalized to unit sum.
-    """
-    maps.validate()
-    p_std = np.asarray(p_std, float)
-    n = len(_ALPHABET[maps.field])
-    if p_std.shape != (n, n):
-        raise ValueError(f"{maps.field.value} weight table must be {n}x{n}, got {p_std.shape}")
-    if not np.isfinite(p_std).all():
-        raise ValueError("weight table has non-finite entries")
-    return _transform(p_std, maps)
-
-
 def _transform(p_std: np.ndarray, maps: LocalMapPair) -> QuasiDecomposition:
+    """Pull each basis state back through its inverse map; weights take the time-like parts."""
     # LAPACK solves each map of the stack on its own, as two solve() calls would
     pulled = np.linalg.solve(np.array([maps.a_map, maps.b_map]), _COLUMN_PAIRS[maps.field])
     small = np.abs(pulled[:, 0]) < 1e-12
@@ -161,7 +134,7 @@ def decompose(g: np.ndarray, field: NumberField) -> tuple[QuasiDecomposition, fl
 def _decompose(g: np.ndarray, field: NumberField) -> tuple[QuasiDecomposition, float]:
     """``decompose`` of a physical ``g``, unchecked."""
     sf = _to_standard_form(g, field)
-    if sf.residual_offdiag > STANDARD_FORM_TOL:  # pstd's check
+    if sf.residual_offdiag > STANDARD_FORM_TOL:  # the closed-form weights need a diagonal
         raise ValueError(f"input is not in standard form (off-diagonal {sf.residual_offdiag:.3e})")
     decomposition = _transform(_pstd(sf.gamma_std, field), sf.maps)
     reconstruction = local_reconstruction(decomposition)
@@ -186,15 +159,15 @@ def expansion_error(g: np.ndarray, field: NumberField) -> tuple[np.ndarray, np.n
     return 0.5 * np.sqrt(squares - yy**2), yy / 4.0
 
 
-def separability_certificate(d: QuasiDecomposition, tol: float = DEFAULT_TOL) -> bool:
+def separability_certificate(d: QuasiDecomposition) -> bool:
     """True iff the expansion is a genuine separable decomposition.
 
-    Requires every weight to be nonnegative (within tol) and the expansion
-    to actually resolve the state: complex expansions always do.  Real ones
+    Requires every weight to be nonnegative (within ``DEFAULT_TOL``) and
+    the expansion to actually resolve the state: complex ones always do.  Real ones
     miss the y row and column, so a nonvanishing residual or distance
     disqualifies: a state with a y entry is no mixture of real products.
     """
-    if d.weights.min() < -tol:
+    if d.weights.min() < -DEFAULT_TOL:
         return False
-    real_resolved = d.field is NumberField.COMPLEX or d.distance <= tol
-    return real_resolved and abs(d.residual_coeff) <= tol
+    real_resolved = d.field is NumberField.COMPLEX or d.distance <= DEFAULT_TOL
+    return real_resolved and abs(d.residual_coeff) <= DEFAULT_TOL

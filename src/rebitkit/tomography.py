@@ -8,18 +8,16 @@ occur with probabilities
 
 The counts of all nine settings are one (3, 3, 4) int64 array, and
 simulation, estimation and mixing are array math over it.  Linear
-inversion recovers the correlation matrix with binomial standard errors;
-uncertainties propagate through any downstream analysis by resampling
-correlation matrices entrywise normally, repairing the (N, 4, 4) stack
-of samples block by block (a closed-form positivity check passes most of
-them as they are, and a batched eigendecomposition clips the rest), and
-taking statistics of a batched analysis of the whole stack.
+inversion recovers the correlation matrix with binomial standard errors.
+Monte Carlo resamples correlation matrices entrywise normally and repairs
+the (N, 4, 4) stack of samples block by block (a closed-form positivity
+check passes most of them as they are, and a batched eigendecomposition
+clips the rest); a caller spreads any batched analysis over the stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -211,23 +209,15 @@ def repair_to_physical(g: np.ndarray) -> np.ndarray:
     return g
 
 
-def monte_carlo_propagate(
-    e: EstimatedState,
-    n_samples: int,
-    seed: int,
-    analysis: Callable[[np.ndarray], np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate estimation uncertainties through a batched analysis.
+def monte_carlo_propagate(e: EstimatedState, n_samples: int, seed: int) -> np.ndarray:
+    """An (n_samples, 4, 4) stack of repaired samples of the estimate.
 
     Draws ``n_samples`` correlation matrices with entries normally
     distributed around the estimate, all from one ``default_rng(seed)``
     stream in sample order (so the first k samples of a pass equal a
-    k-sample pass), repairs them with ``repair_to_physical`` (which
+    k-sample pass), and repairs them with ``repair_to_physical`` (which
     eigendecomposes only the samples its positivity check cannot pass
-    as they are, and zeroes their negative eigenvalues), and maps the
-    (n_samples, 4, 4) stack to (n_samples, k) outputs with one call of
-    ``analysis``; returns their mean and sample standard deviation.  An
-    exception raised by ``analysis`` propagates unchanged.  A sample count
+    as they are, and zeroes their negative eigenvalues).  A sample count
     whose stack exceeds numpy's array limits raises MemoryError, as one
     that exceeds the memory does.
     """
@@ -240,7 +230,4 @@ def monte_carlo_propagate(
         raise MemoryError(f"{n_samples} samples exceed numpy's array limits") from None
     samples = e.gamma + e.sigma * noise
     samples[:, 0, 0] = 1.0
-    outputs = np.asarray(analysis(repair_to_physical(samples)), float)
-    if outputs.ndim != 2 or len(outputs) != n_samples:
-        raise ValueError(f"analysis must return shape ({n_samples}, k), got {outputs.shape}")
-    return outputs.mean(axis=0), outputs.std(axis=0, ddof=1)
+    return repair_to_physical(samples)

@@ -33,6 +33,9 @@ from .pauli_core import (
     check_correlation,
 )
 
+# a witness bound counts as violated only when exceeded by this many standard deviations
+VIOLATION_SIGMAS = 5.0
+
 _ZZ = np.real(KRON[IDX_Z, IDX_Z])
 _XX = np.real(KRON[IDX_X, IDX_X])
 _YY = np.real(KRON[IDX_Y, IDX_Y])
@@ -40,11 +43,18 @@ _YY = np.real(KRON[IDX_Y, IDX_Y])
 
 @dataclass(frozen=True)
 class DiagObservable:
-    """Observable lz * zz + lx * xx + ly * yy; real and symmetric."""
+    """Observable lz * zz + lx * xx + ly * yy, real and symmetric; finite float coefficients."""
 
     lz: float
     lx: float
     ly: float
+
+    def __post_init__(self) -> None:
+        for name in ("lz", "lx", "ly"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"observable has a non-finite coefficient: {name} = {value!r}")
+            object.__setattr__(self, name, value)
 
     def matrix(self) -> np.ndarray:
         return self.lz * _ZZ + self.lx * _XX + self.ly * _YY
@@ -357,18 +367,15 @@ def evaluate_witness(
     g: np.ndarray,
     obs: DiagObservable,
     sigma_gamma: np.ndarray | None = None,
-    k: float = 5.0,
 ) -> WitnessVerdict:
     """Witness verdict for a correlation matrix under a diagonal observable.
 
     The expectation is ``lz g[z,z] + lx g[x,x] + ly g[y,y]``; its standard
     deviation is propagated quadratically from ``sigma_gamma`` when given.
-    A bound counts as violated only when exceeded by more than ``k``
-    standard deviations.  Raises ValueError when coefficients so large that
-    the expectation, its deviation or a bound overflows leave no verdict.
+    A bound counts as violated only beyond ``VIOLATION_SIGMAS`` standard
+    deviations.  Raises ValueError when coefficients so large that the
+    expectation, its deviation or a bound overflows leave no verdict.
     """
-    if k <= 0:
-        raise ValueError("significance threshold k must be positive")
     g = check_correlation(g)
     with np.errstate(over="ignore", invalid="ignore"):
         expectation = float(
@@ -393,7 +400,8 @@ def evaluate_witness(
         )
 
     def violated(lo: float, hi: float) -> bool:
-        return expectation < lo - k * sigma or expectation > hi + k * sigma
+        margin = VIOLATION_SIGMAS * sigma
+        return expectation < lo - margin or expectation > hi + margin
 
     r_ent = violated(*b_real)
     c_ent = violated(*b_complex)

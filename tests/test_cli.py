@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import random_full_rank_gamma
 from rebitkit import cli
 from rebitkit import pauli_core as pc
+from rebitkit import quasiprob as qp
 from rebitkit import tomography as tm
 
 NF = pc.NumberField
@@ -481,6 +482,81 @@ def test_analysis_value_error_propagates_unchanged(tmp_path, capsys, monkeypatch
                      "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: analysis failed\n"
     assert not out.exists()
+
+
+def test_memory_error_in_the_columns_names_mc_samples(tmp_path, capsys, monkeypatch):
+    # the columns are computed over the whole stack, so running out there is the count's fault too
+    def failing(samples, field):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(cli, "expansion_error", failing)
+    counts = tmp_path / "c.txt"
+    cli.main(["simulate", "--state", "cfr:q=1,v=0.9", "--events", "2000",
+              "--seed", "2", "--out", str(counts)])
+    capsys.readouterr()
+    out = tmp_path / "r.json"
+    assert cli.main(["analyze", "--counts", str(counts), "--mc-samples", "20",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --mc-samples 20 needs more memory than is available\n")
+    assert not out.exists()
+
+
+def reference_monte_carlo_propagate(e, n_samples, seed, analysis):
+    """Monte Carlo as it was with an analysis callback: the mean and deviation of its outputs."""
+    rng = np.random.default_rng(seed)
+    samples = e.gamma + e.sigma * rng.standard_normal((n_samples, 4, 4))
+    samples[:, 0, 0] = 1.0
+    outputs = np.asarray(analysis(tm.repair_to_physical(samples)), float)
+    return outputs.mean(axis=0), outputs.std(axis=0, ddof=1)
+
+
+def reference_mc_outputs(fields, target_gamma):
+    """run_analysis's callback as it was: distance and residual per field, then the similarity."""
+    def mc_outputs(samples):
+        columns = [c for fld in fields for c in qp.expansion_error(samples, fld)]
+        if target_gamma is not None:
+            columns.append(pc.similarity(samples, target_gamma))
+        return np.stack(columns, axis=-1)
+
+    return mc_outputs
+
+
+@pytest.mark.parametrize("fields, target", [((NF.REAL, NF.COMPLEX), "cfr:q=0"),
+                                            ((NF.COMPLEX, NF.REAL), None)])
+@pytest.mark.parametrize("kind, events", [("edge", 300), ("lab", 100_000)])
+@pytest.mark.parametrize("n_samples", [2, 257, 1000])  # 257 and 1000 cross the repair's blocks
+def test_monte_carlo_sigmas_bit_equal_to_callback_reference(monkeypatch, n_samples, kind, events,
+                                                           fields, target):
+    rng = np.random.default_rng(n_samples)
+    g_true = random_full_rank_gamma(rng, 0.01, 0.03) if kind == "edge" else random_full_rank_gamma(rng)
+    est = tm.estimate_correlations(tm.simulate_counts(g_true, events, seed=n_samples))
+    target_gamma = cli.parse_state_spec(target) if target else None
+    _, want = reference_monte_carlo_propagate(est, n_samples, 9, reference_mc_outputs(fields,
+                                                                                      target_gamma))
+    raw = est.gamma + est.sigma * np.random.default_rng(9).standard_normal((n_samples, 4, 4))
+    raw[:, 0, 0] = 1.0
+    repaired = (tm.repair_to_physical(raw) != raw).any(axis=(1, 2)).sum()
+    assert repaired > 0 if kind == "edge" else repaired == 0
+
+    blocks, similarity_sigmas = [], []
+    block, round9 = cli._decomposition_block, cli._round9
+
+    def recording_block(d, distance_sigma, residual_sigma):
+        blocks.extend([distance_sigma, residual_sigma])
+        return block(d, distance_sigma, residual_sigma)
+
+    def recording_round9(a):
+        if isinstance(a, list) and len(a) == 2 and np.ndim(a[0]) == 0:  # similarity and its sigma
+            similarity_sigmas.append(a[1])
+        return round9(a)
+
+    monkeypatch.setattr(cli, "_decomposition_block", recording_block)
+    monkeypatch.setattr(cli, "_round9", recording_round9)
+    cli.run_analysis(est, list(fields), target_gamma, mc_samples=n_samples, mc_seed=9,
+                     provenance={})
+    got = np.array(blocks + similarity_sigmas, dtype=float)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("observable", ["nan,0,1", "1,inf,0", "1,0,-inf"])

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ def basis_decomposition(weighted_pairs, field):
 
 def test_pstd_rebit_cfr_uniform_eighths():
     for g in (pc.cfr_state(1.0), np.diag([1.0, 0, 0, 0])):
-        p = qp.pstd(g, NF.REAL)
+        p = qp._pstd(g, NF.REAL)
         expected = np.zeros((4, 4))
         expected[:2, :2] = 0.125
         expected[2:, 2:] = 0.125
@@ -44,7 +45,7 @@ def test_pstd_rebit_cfr_uniform_eighths():
 
 def test_pstd_rebit_bell_like_negative():
     g = np.diag([1.0, 1.0, -1.0, 0.0])
-    p = qp.pstd(g, NF.REAL)
+    p = qp._pstd(g, NF.REAL)
     np.testing.assert_allclose(p, rebit_table_oracle(1.0, -1.0), atol=1e-15)
     # uniform term is (1 - 1 - 1)/8 = -1/8
     assert p[0, 1] == pytest.approx(-0.125)
@@ -52,22 +53,15 @@ def test_pstd_rebit_bell_like_negative():
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_pstd_rebit_rejects_offdiagonal():
-    g = pc.cfr_state(1.0)
-    g[0, 1] = 0.2
-    with pytest.raises(ValueError, match="standard form"):
-        qp.pstd(g, NF.REAL)
-
-
 def test_pstd_qubit_cfr():
-    p = qp.pstd(pc.cfr_state(1.0), NF.COMPLEX)
+    p = qp._pstd(pc.cfr_state(1.0), NF.COMPLEX)
     expected = np.zeros((6, 6))
     expected[4, 4] = expected[5, 5] = 0.5
     np.testing.assert_allclose(p, expected, atol=1e-15)
 
 
 def test_pstd_qubit_mixed_twelfths():
-    p = qp.pstd(np.diag([1.0, 0, 0, 0]), NF.COMPLEX)
+    p = qp._pstd(np.diag([1.0, 0, 0, 0]), NF.COMPLEX)
     expected = np.zeros((6, 6))
     for b in range(3):
         expected[2 * b : 2 * b + 2, 2 * b : 2 * b + 2] = 1.0 / 12.0
@@ -76,7 +70,7 @@ def test_pstd_qubit_mixed_twelfths():
 
 def test_pstd_qubit_bell():
     # Q = 1 - 1 - 1 - 1 = -2: uniform -1/6 plus 1/2 on the aligned slots
-    p = qp.pstd(np.diag([1.0, 1.0, 1.0, -1.0]), NF.COMPLEX)
+    p = qp._pstd(np.diag([1.0, 1.0, 1.0, -1.0]), NF.COMPLEX)
     assert p[0, 0] == pytest.approx(-1 / 6 + 1 / 2)  # (H, H)
     assert p[0, 1] == pytest.approx(-1 / 6)          # (H, V)
     assert p[4, 5] == pytest.approx(-1 / 6 + 1 / 2)  # (R, L)
@@ -90,8 +84,8 @@ def test_pstd_qubit_bell():
 def test_weight_normalization_random_diagonals(seed):
     rng = np.random.default_rng(seed)
     g = random_standard_form_gamma(rng)
-    assert qp.pstd(g, NF.REAL).sum() == pytest.approx(1.0, abs=1e-12)
-    assert qp.pstd(g, NF.COMPLEX).sum() == pytest.approx(1.0, abs=1e-12)
+    assert qp._pstd(g, NF.REAL).sum() == pytest.approx(1.0, abs=1e-12)
+    assert qp._pstd(g, NF.COMPLEX).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pstd_reconstructs_standard_form():
@@ -99,7 +93,7 @@ def test_pstd_reconstructs_standard_form():
     for _ in range(20):
         g = random_standard_form_gamma(rng)
         # qubit expansion resolves everything
-        p = qp.pstd(g, NF.COMPLEX)
+        p = qp._pstd(g, NF.COMPLEX)
         rec = np.zeros((4, 4))
         for i, la in enumerate(qp.QUBIT_ALPHABET):
             for j, lb in enumerate(qp.QUBIT_ALPHABET):
@@ -108,7 +102,7 @@ def test_pstd_reconstructs_standard_form():
                 )
         np.testing.assert_allclose(rec, g, atol=1e-12)
         # rebit expansion resolves everything but the y-y entry
-        p = qp.pstd(g, NF.REAL)
+        p = qp._pstd(g, NF.REAL)
         rec = np.zeros((4, 4))
         for i, la in enumerate(qp.REBIT_ALPHABET):
             for j, lb in enumerate(qp.REBIT_ALPHABET):
@@ -121,9 +115,9 @@ def test_pstd_reconstructs_standard_form():
 
 
 def test_transform_identity_maps():
-    p = qp.pstd(pc.cfr_state(1.0), NF.COMPLEX)
+    p = qp._pstd(pc.cfr_state(1.0), NF.COMPLEX)
     maps = sf.LocalMapPair(np.eye(4), np.eye(4), NF.COMPLEX)
-    d = qp.transform_quasi(p, maps)
+    d = qp._transform(p, maps)
     np.testing.assert_allclose(d.weight_table(), p, atol=1e-15)
     basis = np.array([pc.POLARIZATION_BLOCH[lab] for lab in d.alphabet])
     np.testing.assert_array_equal(d.alice, basis)
@@ -135,8 +129,8 @@ def test_transform_filter_rescales_weights():
     # time components and renormalize
     a_map = np.diag([1.0, 2.0, 2.0, 2.0])
     maps = sf.LocalMapPair(a_map, np.eye(4), NF.COMPLEX)
-    p = qp.pstd(np.diag([1.0, 0, 0, 0]), NF.COMPLEX)
-    d = qp.transform_quasi(p, maps)
+    p = qp._pstd(np.diag([1.0, 0, 0, 0]), NF.COMPLEX)
+    d = qp._transform(p, maps)
     assert d.weights.sum() == pytest.approx(1.0, abs=1e-12)
     # oracle: every pulled-back component is (1, +-1/2, ...) with time part 1
     assert d.alice[:, 0] == pytest.approx(np.ones(6))
@@ -147,9 +141,9 @@ def test_transform_annihilation_error():
     a_map = np.eye(4)
     a_map[0, 1] = -1.0  # inverse maps (1, 1, 0, 0) -> (0, ...)
     maps = sf.LocalMapPair(a_map, np.eye(4), NF.COMPLEX)
-    p = qp.pstd(np.diag([1.0, 0, 0, 0]), NF.COMPLEX)
+    p = qp._pstd(np.diag([1.0, 0, 0, 0]), NF.COMPLEX)
     with pytest.raises(ValueError, match="annihilates"):
-        qp.transform_quasi(p, maps)
+        qp._transform(p, maps)
 
 
 def test_local_reconstruction_single_entry():
@@ -262,8 +256,8 @@ def test_transform_commutes_with_map_application():
     for _ in range(10):
         g = random_full_rank_gamma(rng)
         result = sf.to_standard_form(g, NF.COMPLEX)
-        p = qp.pstd(result.gamma_std, NF.COMPLEX)
-        d = qp.transform_quasi(p, result.maps)
+        p = qp._pstd(result.gamma_std, NF.COMPLEX)
+        d = qp._transform(p, result.maps)
         path_one = qp.local_reconstruction(d)
         std_rec = np.zeros((4, 4))
         for i, la in enumerate(qp.QUBIT_ALPHABET):
@@ -276,9 +270,10 @@ def test_transform_commutes_with_map_application():
 
 
 def test_certificate_tolerates_tiny_negativity():
-    d = basis_decomposition([("H", "H", 1.0 + 1e-12), ("V", "V", -1e-12)], NF.COMPLEX)
-    assert qp.separability_certificate(d, tol=1e-9)
-    assert not qp.separability_certificate(d, tol=1e-15)
+    # a negative weight counts only beyond DEFAULT_TOL
+    for negativity, separable in ((0.5 * pc.DEFAULT_TOL, True), (2.0 * pc.DEFAULT_TOL, False)):
+        d = basis_decomposition([("H", "H", 1.0 + negativity), ("V", "V", -negativity)], NF.COMPLEX)
+        assert qp.separability_certificate(d) is separable
 
 
 @settings(max_examples=40, deadline=None)
@@ -350,8 +345,8 @@ def test_batched_transport_matches_per_entry_reference(field):
         maps = sf.LocalMapPair(
             random_invertible_bloch_map(rng, rebit), random_invertible_bloch_map(rng, rebit), field
         )
-        p = qp.pstd(random_standard_form_gamma(rng), field)
-        d = qp.transform_quasi(p, maps)
+        p = qp._pstd(random_standard_form_gamma(rng), field)
+        d = qp._transform(p, maps)
         ref = reference_transform_quasi(p, maps, alphabet)
         assert d.alphabet == alphabet
         assert d.weights.shape == (n, n) and d.alice.shape == d.bob.shape == (n, 4)
@@ -371,26 +366,15 @@ def test_transform_annihilation_error_names_label_and_side():
     b_map = np.eye(4)
     b_map[0, 2] = -1.0  # inverse maps A = (1, 0, -1, 0) -> (0, ...)
     maps = sf.LocalMapPair(np.eye(4), b_map, NF.REAL)
-    p = qp.pstd(np.diag([1.0, 0, 0, 0]), NF.REAL)
+    p = qp._pstd(np.diag([1.0, 0, 0, 0]), NF.REAL)
     with pytest.raises(ValueError, match="basis state 'A' on Bob's side"):
-        qp.transform_quasi(p, maps)
+        qp._transform(p, maps)
 
 
 def test_local_reconstruction_rejects_unnormalized_weights():
     d = basis_decomposition([("H", "H", 0.5), ("H", "H", 0.4)], NF.REAL)
     with pytest.raises(ValueError, match="expected 1"):
         qp.local_reconstruction(d)
-
-
-@pytest.mark.parametrize(
-    "size, field", [(4, NF.COMPLEX), (6, NF.REAL), (5, NF.REAL), (5, NF.COMPLEX)]
-)
-def test_transform_rejects_table_size_not_matching_field(size, field):
-    # the field names the labels, so the table must be 4x4 (real) or 6x6 (complex)
-    maps = sf.LocalMapPair(np.eye(4), np.eye(4), field)
-    want = 4 if field is NF.REAL else 6
-    with pytest.raises(ValueError, match=f"{field.value} weight table must be {want}x{want}"):
-        qp.transform_quasi(np.full((size, size), 1.0 / size**2), maps)
 
 
 def test_real_certificate_requires_whole_y_sector():
@@ -437,6 +421,14 @@ def test_decompose_kernel_is_bit_equal_to_checked_path(field):
         assert d.distance == dist
 
 
+def decompose_with_offdiag(offdiag):
+    """The kernel's decomposition of cfr:q=1, its standard form left with an off-diagonal entry."""
+    result = sf.to_standard_form(pc.cfr_state(1.0), NF.REAL)
+    result.residual_offdiag = offdiag
+    with mock.patch.object(qp, "_to_standard_form", lambda g, field: result):
+        return qp._decompose(pc.cfr_state(1.0), NF.REAL)
+
+
 def map_with(row, col, value):
     """The identity Bloch map with one entry set."""
     m = np.eye(4)
@@ -451,21 +443,16 @@ def map_with(row, col, value):
          "input correlation matrix is not a physical state"),
         (lambda: qp.decompose(np.eye(4), NF.COMPLEX),
          "input correlation matrix is not a physical state"),
-        (lambda: qp.pstd(np.array([[1, 0, 0, 0], [0, 0, 0.1, 0], [0, 0, 0, 0], [0, 0, 0, 1.0]]),
-                         NF.REAL),
+        (lambda: decompose_with_offdiag(0.1),
          "input is not in standard form (off-diagonal 1.000e-01)"),
-        (lambda: qp.transform_quasi(
-            np.full((4, 4), 1 / 16), sf.LocalMapPair(np.diag([1.0, 1, 1, 0]), np.eye(4), NF.REAL)),
+        (lambda: sf.apply_local_maps(
+            pc.cfr_state(1.0), sf.LocalMapPair(np.diag([1.0, 1, 1, 0]), np.eye(4), NF.REAL)),
          "a_map is not invertible"),
-        (lambda: qp.transform_quasi(
-            np.full((6, 6), 1 / 36), sf.LocalMapPair(np.eye(4), np.eye(4), NF.REAL)),
-         "real weight table must be 4x4, got (6, 6)"),
         (lambda: qp.decompose(np.diag([0.5, 0, 0, 0]), NF.REAL),
          "correlation matrix not normalized: gamma[0,0] = 0.5"),
         # a real map that mixes x into y would pull rebit labels out of the real plane
-        (lambda: qp.transform_quasi(
-            qp.pstd(pc.cfr_state(1.0), NF.REAL),
-            sf.LocalMapPair(map_with(3, 1, 0.5), np.eye(4), NF.REAL)),
+        (lambda: sf.apply_local_maps(
+            pc.cfr_state(1.0), sf.LocalMapPair(map_with(3, 1, 0.5), np.eye(4), NF.REAL)),
          "a_map is a real map but not the identity on y"),
         (lambda: sf.apply_local_maps(
             pc.cfr_state(1.0), sf.LocalMapPair(np.eye(4), map_with(1, 3, -0.5), NF.REAL)),
@@ -474,12 +461,9 @@ def map_with(row, col, value):
         (lambda: sf.apply_local_maps(
             pc.cfr_state(1.0), sf.LocalMapPair(map_with(1, 2, np.nan), np.eye(4), NF.COMPLEX)),
          "a_map has non-finite entries"),
-        (lambda: qp.transform_quasi(
-            np.full((4, 4), 1 / 16), sf.LocalMapPair(np.eye(4), map_with(0, 0, np.inf), NF.REAL)),
+        (lambda: sf.apply_local_maps(
+            pc.cfr_state(1.0), sf.LocalMapPair(np.eye(4), map_with(0, 0, np.inf), NF.REAL)),
          "b_map has non-finite entries"),
-        (lambda: qp.transform_quasi(
-            np.full((6, 6), np.nan), sf.LocalMapPair(np.eye(4), np.eye(4), NF.COMPLEX)),
-         "weight table has non-finite entries"),
         # the y check would index past a 3x3 map
         (lambda: sf.apply_local_maps(
             pc.cfr_state(1.0), sf.LocalMapPair(np.eye(4), np.eye(3), NF.REAL)),
@@ -492,12 +476,9 @@ def test_public_functions_keep_their_diagnostics(call, message):
     assert str(exc.value) == message
 
 
-def test_decompose_kernel_keeps_the_off_diagonal_check(monkeypatch):
-    result = sf.to_standard_form(pc.cfr_state(1.0), NF.REAL)
-    result.residual_offdiag = 2e-8
-    monkeypatch.setattr(qp, "_to_standard_form", lambda g, field: result)
+def test_decompose_kernel_keeps_the_off_diagonal_check():
     with pytest.raises(ValueError) as exc:
-        qp._decompose(pc.cfr_state(1.0), NF.REAL)
+        decompose_with_offdiag(2e-8)
     assert str(exc.value) == "input is not in standard form (off-diagonal 2.000e-08)"
 
 

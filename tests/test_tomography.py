@@ -285,9 +285,15 @@ def test_repair_clips_and_bounds_yy():
     assert abs(repaired[3, 3]) <= 1.0 + 1e-12
 
 
+def _mc_stats(est, n_samples, seed, analysis):
+    """Mean and sample standard deviation of a batched analysis of the Monte-Carlo stack."""
+    outputs = analysis(tm.monte_carlo_propagate(est, n_samples, seed))
+    return outputs.mean(axis=0), outputs.std(axis=0, ddof=1)
+
+
 def test_monte_carlo_zero_sigma():
     est = tm.EstimatedState(gamma=pc.cfr_state(1.0), sigma=np.zeros((4, 4)))
-    means, stds = tm.monte_carlo_propagate(est, 50, 0, lambda g: g[:, 3, 3:4])
+    means, stds = _mc_stats(est, 50, 0, lambda g: g[:, 3, 3:4])
     assert means[0] == pytest.approx(1.0, abs=1e-12)
     assert stds[0] == 0.0
 
@@ -296,7 +302,7 @@ def test_monte_carlo_witness_sigma_passthrough():
     sigma = np.zeros((4, 4))
     sigma[3, 3] = 0.0006
     est = tm.EstimatedState(gamma=np.diag([1.0, 0, 0, 0.9634]), sigma=sigma)
-    means, stds = tm.monte_carlo_propagate(est, 4_000, 1, lambda g: g[:, 3, 3:4])
+    means, stds = _mc_stats(est, 4_000, 1, lambda g: g[:, 3, 3:4])
     assert means[0] == pytest.approx(0.9634, abs=1e-4)
     assert stds[0] == pytest.approx(0.0006, rel=0.1)
 
@@ -305,10 +311,9 @@ def test_monte_carlo_deterministic():
     sigma = np.full((4, 4), 0.01)
     sigma[0, 0] = 0.0
     est = tm.EstimatedState(gamma=pc.cfr_state(0.8), sigma=sigma)
-    out1 = tm.monte_carlo_propagate(est, 200, 7, lambda g: g[:, [3, 1], [3, 1]])
-    out2 = tm.monte_carlo_propagate(est, 200, 7, lambda g: g[:, [3, 1], [3, 1]])
-    np.testing.assert_array_equal(out1[0], out2[0])
-    np.testing.assert_array_equal(out1[1], out2[1])
+    out1 = tm.monte_carlo_propagate(est, 200, 7)
+    out2 = tm.monte_carlo_propagate(est, 200, 7)
+    np.testing.assert_array_equal(out1, out2)
 
 
 def test_monte_carlo_shrinks_with_events():
@@ -316,52 +321,25 @@ def test_monte_carlo_shrinks_with_events():
     stds = []
     for n in (50_000, 100_000):
         est = tm.estimate_correlations(tm.simulate_counts(g, n, seed=2))
-        _, s = tm.monte_carlo_propagate(est, 600, 5, lambda g: g[:, 3, 3:4])
+        _, s = _mc_stats(est, 600, 5, lambda g: g[:, 3, 3:4])
         stds.append(s[0])
     assert stds[1] / stds[0] == pytest.approx(1 / np.sqrt(2), rel=0.25)
-
-
-def test_monte_carlo_analysis_error_propagates():
-    # no failure budget: the first exception of the analysis reaches the caller
-    sigma = np.full((4, 4), 0.05)
-    sigma[0, 0] = 0.0
-    est = tm.EstimatedState(gamma=pc.cfr_state(0.5), sigma=sigma)
-    boom = KeyError("boom")
-
-    def analysis(_g):
-        raise boom
-
-    with pytest.raises(KeyError) as info:
-        tm.monte_carlo_propagate(est, 100, 3, analysis)
-    assert info.value is boom
-
-
-def test_monte_carlo_rejects_unbatched_analysis():
-    est = tm.EstimatedState(gamma=pc.cfr_state(0.5), sigma=np.zeros((4, 4)))
-    with pytest.raises(ValueError, match=r"shape \(20, k\)"):
-        tm.monte_carlo_propagate(est, 20, 0, lambda g: g[0, 3, 3:4])
 
 
 def test_monte_carlo_requires_two_samples():
     est = tm.EstimatedState(gamma=pc.cfr_state(0.5), sigma=np.zeros((4, 4)))
     with pytest.raises(ValueError):
-        tm.monte_carlo_propagate(est, 1, 0, lambda g: np.zeros((len(g), 1)))
+        tm.monte_carlo_propagate(est, 1, 0)
 
 
 def test_monte_carlo_samples_stay_physical():
     sigma = np.full((4, 4), 0.02)
     sigma[0, 0] = 0.0
     est = tm.EstimatedState(gamma=pc.cfr_state(1.0), sigma=sigma)
-    seen = []
-
-    def check(g):
-        seen.append(g.shape)
-        assert all(pc.is_physical(x, 1e-9) for x in g)
-        assert np.abs(g[:, 3, 3]).max() <= 1.0 + 1e-12
-        return np.zeros((len(g), 1))
-
-    tm.monte_carlo_propagate(est, 300, 11, check)
-    assert seen == [(300, 4, 4)]
+    g = tm.monte_carlo_propagate(est, 300, 11)
+    assert g.shape == (300, 4, 4)
+    assert all(pc.is_physical(x, 1e-9) for x in g)
+    assert np.abs(g[:, 3, 3]).max() <= 1.0 + 1e-12
 
 
 def test_monte_carlo_stream_is_one_generator():
@@ -370,32 +348,19 @@ def test_monte_carlo_stream_is_one_generator():
     sigma[0, 0] = 0.0
     est = tm.EstimatedState(gamma=pc.cfr_state(0.98), sigma=sigma)
     n = 40
-
-    def flatten(g):
-        return g.reshape(len(g), 16)
-
-    means, _ = tm.monte_carlo_propagate(est, n, 17, flatten)
+    full = tm.monte_carlo_propagate(est, n, 17)
     reference, repaired = [], 0
     for noise in np.random.default_rng(17).standard_normal((n, 4, 4)):
         sample = est.gamma + est.sigma * noise
         sample[0, 0] = 1.0
-        reference.append(tm.repair_to_physical(sample).reshape(16))
-        repaired += not np.array_equal(reference[-1], sample.reshape(16))
-    np.testing.assert_array_equal(means, np.stack(reference).mean(axis=0))
+        reference.append(tm.repair_to_physical(sample))
+        repaired += not np.array_equal(reference[-1], sample)
+    np.testing.assert_array_equal(full, np.stack(reference))
     assert 0 < repaired < n  # both branches of the repair ran
 
     # the first k samples of an n-sample pass are the k-sample pass
-    stacks = []
-
-    def capture(g):
-        stacks.append(g.copy())
-        return flatten(g)
-
-    for count in (n, 2, 7):
-        tm.monte_carlo_propagate(est, count, 17, capture)
-    full = stacks.pop(0)
-    for prefix in stacks:
-        np.testing.assert_array_equal(prefix, full[:len(prefix)])
+    for count in (2, 7):
+        np.testing.assert_array_equal(tm.monte_carlo_propagate(est, count, 17), full[:count])
 
 
 def test_repair_stack_matches_single_calls():
@@ -507,14 +472,8 @@ def test_positivity_check_is_sound_and_repair_unchanged(name, certified_count):
 ])
 def test_monte_carlo_unchanged_by_positivity_check(monkeypatch, g_true, events, repaired):
     est = tm.estimate_correlations(tm.simulate_counts(g_true, events, seed=4))
-    stacks = []
-
-    def flatten(g):
-        stacks.append(g.copy())
-        return g.reshape(len(g), 16)
-
-    checked = tm.monte_carlo_propagate(est, 10_000, 4, flatten)
-    changed = stacks[0] != _samples(g_true, events, 10_000, seed=4)
+    checked = tm.monte_carlo_propagate(est, 10_000, 4)
+    changed = checked != _samples(g_true, events, 10_000, seed=4)
     assert changed.any(axis=(1, 2)).sum() == repaired
     repaired_stacks = []
 
@@ -523,11 +482,9 @@ def test_monte_carlo_unchanged_by_positivity_check(monkeypatch, g_true, events, 
         return _repair_every_matrix(g)
 
     monkeypatch.setattr(tm, "repair_to_physical", repair_every_matrix)
-    reference = tm.monte_carlo_propagate(est, 10_000, 4, flatten)
+    reference = tm.monte_carlo_propagate(est, 10_000, 4)
     assert repaired_stacks == [10_000]
-    for a, b in zip(checked, reference):
-        assert a.tobytes() == b.tobytes()
-    assert stacks[0].tobytes() == stacks[1].tobytes()
+    assert checked.tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("g_true, events", [(pc.cfr_state(0.98), 100_000),

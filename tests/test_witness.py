@@ -67,6 +67,28 @@ def test_analytic_spectrum_expectation_identity():
             assert p.value == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("slot", ["lz", "lx", "ly"])
+def test_diag_observable_rejects_non_finite(slot, value):
+    # a NaN once dropped out of bounds' max, and inf gave (-inf, inf)
+    coefficients = {"lz": 1.0, "lx": 0.0, "ly": 1.0, slot: value}
+    message = f"observable has a non-finite coefficient: {slot} = {value!r}"
+    for field in NF:
+        for call in (wt.bounds, wt.analytic_spectrum):
+            with pytest.raises(ValueError) as exc:
+                call(wt.DiagObservable(**coefficients), field)
+            assert str(exc.value) == message
+
+
+def test_diag_observable_stores_floats():
+    obs = wt.DiagObservable(1, 0, np.int64(-2))
+    assert [type(c) for c in (obs.lz, obs.lx, obs.ly)] == [float] * 3
+    for field, want in ((NF.REAL, (-1.0, 1.0)), (NF.COMPLEX, (-2.0, 2.0))):
+        got = wt.bounds(obs, field)
+        assert got == want and [type(b) for b in got] == [float, float]
+    assert all(type(p.value) is float for p in wt.analytic_spectrum(obs, NF.COMPLEX))
+
+
 def test_analytic_real_max():
     pairs = wt.analytic_spectrum(wt.DiagObservable(2.0, 1.0, 0.0), NF.REAL)
     assert max(p.value for p in pairs) == 2.0
@@ -242,15 +264,13 @@ def test_evaluate_witness_sigma_propagation():
 
 
 def test_evaluate_witness_k_margin():
-    sigma = np.zeros((4, 4))
-    sigma[3, 3] = 0.1
+    assert wt.VIOLATION_SIGMAS == 5.0
     g = np.diag([1.0, 0, 0, 0.3])
-    v = wt.evaluate_witness(g, wt.SIGMA_YY, sigma_gamma=sigma, k=5.0)
-    assert not v.r_entangled  # 0.3 < 5 * 0.1
-    v = wt.evaluate_witness(g, wt.SIGMA_YY, sigma_gamma=sigma, k=2.0)
-    assert v.r_entangled
-    with pytest.raises(ValueError):
-        wt.evaluate_witness(g, wt.SIGMA_YY, sigma_gamma=sigma, k=0.0)
+    for sigma_yy, entangled in ((0.1, False), (0.05, True)):  # 0.3 against 0.5 and 0.25
+        sigma = np.zeros((4, 4))
+        sigma[3, 3] = sigma_yy
+        v = wt.evaluate_witness(g, wt.SIGMA_YY, sigma_gamma=sigma)
+        assert v.r_entangled is entangled
 
 
 def random_symmetric(rng):
