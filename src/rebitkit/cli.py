@@ -17,8 +17,9 @@ read into the (3, 3, 4) counts array of a ``CountsDataset``.
 
 A report is one document: ``run_analysis`` returns it as a plain dict
 whose numbers are rounded to nine significant digits as it is built, and
-``write_report`` writes that dict as it is, as strict JSON (no
-``Infinity`` or ``NaN``), so a written file reads back bit-exactly.  The
+``write_report`` writes that dict as it is, as one line of compact,
+strict JSON (no ``Infinity`` or ``NaN``), so a written file reads back
+bit-exactly; ``python -m json.tool`` pretty-prints it.  The
 quasiprobability tables of the same dict go to CSV files next to the
 report for plotting, and the printed summary is read from it too.
 """
@@ -30,10 +31,11 @@ import contextlib
 import functools
 import json
 import math
+import operator
 import os
 import sys
 import warnings
-from itertools import chain, product
+from itertools import product
 
 import numpy as np
 
@@ -124,7 +126,8 @@ def _mix_components(rest: str, spec: str) -> list[tuple[np.ndarray, float]]:
         else:
             raise ValueError(f"unknown mix component {name!r} in {spec!r}")
         components.append((gamma, weight))
-    total = sum(w for _, w in components)
+    # summed left to right on every Python: sum() compensates from 3.12 on
+    total = functools.reduce(operator.add, (w for _, w in components), 0.0)
     if not np.isfinite(total):
         raise ValueError(f"weights of mix spec {spec!r} overflow: their sum is {total}")
     if total <= 0:
@@ -133,7 +136,7 @@ def _mix_components(rest: str, spec: str) -> list[tuple[np.ndarray, float]]:
 
 
 def _mix_gamma(components: list[tuple[np.ndarray, float]]) -> np.ndarray:
-    total = sum(w for _, w in components)
+    total = functools.reduce(operator.add, (w for _, w in components), 0.0)
     return sum(g * (w / total) for g, w in components)
 
 
@@ -311,7 +314,7 @@ def run_analysis(
     repairs its samples the same way and spreads the similarity and the
     closed-form ``expansion_error`` over them.
 
-    The document is the plain dict ``write_report`` lays out, keys in file
+    The document is the plain dict ``write_report`` writes, keys in file
     order, every number rounded by ``_round9`` as it is built; the summary
     and the CSVs read the same dict.
     """
@@ -364,89 +367,16 @@ def run_analysis(
     return doc
 
 
-@functools.cache
-def _encoder(depth: int, key_separator: str = ": "):
-    """Strict JSON C encoder whose item separator starts a line at ``depth``, built once.
-
-    ``"".join(_encoder(depth)(value, 0))`` encodes ``value``.  It keeps no circular-reference
-    marks, which a failed call would leave behind: ``_layout`` hands it no cycle.
-    """
-    return json.encoder.c_make_encoder(
-        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
-        key_separator, ",\n" + "  " * depth, False, False, False,
-    )
-
-
-_CONTAINERS = (dict, list, tuple)
-_SCALARS = {str, int, float, bool, type(None)}
-
-
-def _holds_containers(values) -> bool:
-    kinds = set(map(type, values))
-    return not kinds <= _SCALARS and any(issubclass(kind, _CONTAINERS) for kind in kinds)
-
-
-def _flat_rows(rows) -> bool:
-    """True if ``rows`` are non-empty lists or tuples of scalars: a matrix when they are a list."""
-    return (set(map(type, rows)) <= {list, tuple} and all(rows)
-            and not _holds_containers(chain.from_iterable(rows)))
-
-
-def _layout(value, depth: int = 0) -> str:
-    """``value`` laid out byte for byte as ``json.dumps(value, indent=2)``, at ``depth``.
-
-    A list without nested containers, a matrix (a list of such lists), a
-    dict of such lists and each run of scalar items in a dict are one
-    C-encoder call, whose item separator carries the newline and
-    indentation.  That cannot clash with string contents: the encoder
-    escapes every newline inside a string.  Only the remaining nesting is
-    walked here.  Keys must be strings.
-    """
-    if not (isinstance(value, _CONTAINERS) and value):
-        return "".join(_encoder(depth)(value, 0))
-    inner = depth + 1
-    pad = "\n" + "  " * inner
-    row_pad = pad + "  "
-    if isinstance(value, dict):
-        if _flat_rows(value.values()):
-            # encoded at the entries' depth; the key separator ":\n" marks where a list opens
-            text = "".join(_encoder(inner + 1, ":\n")(value, 0))[1:-2]
-            body = text.replace(":\n[", ": [" + row_pad).replace("]," + row_pad, pad + "]," + pad)
-            return "{" + pad + body + pad + "]" + pad[:-2] + "}"
-        parts, scalars = [], {}
-        for key, item in value.items():
-            if isinstance(item, _CONTAINERS) and item:
-                if scalars:
-                    parts.append("".join(_encoder(inner)(scalars, 0))[1:-1])
-                    scalars = {}
-                parts.append(f"{''.join(_encoder(inner)(key, 0))}: {_layout(item, inner)}")
-            else:
-                scalars[key] = item
-        if scalars:
-            parts.append("".join(_encoder(inner)(scalars, 0))[1:-1])
-        return "{" + pad + ("," + pad).join(parts) + pad[:-2] + "}"
-    if not _holds_containers(value):
-        body = "".join(_encoder(inner)(value, 0))[1:-1]
-    elif _flat_rows(value):
-        # encoded at the entries' depth, "]" + separator + "[" occurs only between rows
-        rows = "".join(_encoder(inner + 1)(value, 0))[2:-2]
-        body = ("[" + row_pad + rows.replace("]," + row_pad + "[", pad + "]," + pad + "[" + row_pad)
-                + pad + "]")
-    else:
-        body = ("," + pad).join(_layout(item, inner) for item in value)
-    return "[" + pad + body + pad[:-2] + "]"
-
-
 def write_report(path: str, doc: dict) -> None:
     """Write the report document ``run_analysis`` returns, and one quasiprobability CSV per field.
 
-    The JSON file holds ``doc`` as it is, laid out as ``json.dumps(doc,
-    indent=2)`` would.  Every text is built before the first file is
-    opened, so a value strict JSON cannot hold raises ValueError and
-    leaves no file behind.
+    The JSON file holds ``doc`` as it is, on one line of compact ASCII
+    JSON; ``python -m json.tool`` pretty-prints it.  Every text is built
+    before the first file is opened, so a value strict JSON cannot hold
+    raises ValueError and leaves no file behind.
     """
     try:
-        texts = [(path, _layout(doc) + "\n")]
+        texts = [(path, json.dumps(doc, allow_nan=False) + "\n")]
     except ValueError as exc:
         raise ValueError(f"report {path} not written: {exc}") from None
     base, _ = os.path.splitext(path)

@@ -97,7 +97,7 @@ class LocalState:
     label: str | None = None
 
 
-def check_correlation(g: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def check_correlation(g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.shape[-2:] != (4, 4):
         raise ValueError(f"correlation matrix must be 4x4, got {g.shape}")
@@ -109,7 +109,7 @@ def check_correlation(g: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise ValueError(
             f"correlation matrix has a non-finite entry: gamma[{i},{j}] = {float(g[idx])!r}"
         )
-    bad = np.abs(g[..., 0, 0] - 1.0) > tol
+    bad = np.abs(g[..., 0, 0] - 1.0) > DEFAULT_TOL
     if np.count_nonzero(bad):
         raise ValueError(
             f"correlation matrix not normalized: gamma[0,0] = {float(g[..., 0, 0][bad][0])!r}"
@@ -117,14 +117,14 @@ def check_correlation(g: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return g
 
 
-def density_from_correlation(g: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def density_from_correlation(g: np.ndarray) -> np.ndarray:
     """Reassemble the density matrix (1/4) sum_{mu,nu} gamma[mu,nu] sigma_mu (x) sigma_nu."""
-    rho = _pauli_sum(check_correlation(g, tol), _DENSITY_TERMS)
+    rho = _pauli_sum(check_correlation(g), _DENSITY_TERMS)
     rho /= 4.0
     return rho
 
 
-def correlation_from_density(rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def correlation_from_density(rho: np.ndarray) -> np.ndarray:
     """Correlation matrix gamma[mu,nu] = tr(rho sigma_mu (x) sigma_nu).
 
     Rejects non-Hermitian input and flags trace deviations; imaginary
@@ -134,10 +134,10 @@ def correlation_from_density(rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.nd
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got {rho.shape}")
     herm_err = np.abs(rho - rho.conj().swapaxes(-1, -2)).max()
-    if herm_err > tol:
+    if herm_err > DEFAULT_TOL:
         raise ValueError(f"density matrix not Hermitian (max deviation {herm_err:.3e})")
     trace_err = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max()
-    if trace_err > tol:
+    if trace_err > DEFAULT_TOL:
         raise ValueError(f"density matrix trace deviates from 1 by {trace_err:.3e}")
     gamma = _pauli_sum(rho, _CORRELATION_TERMS)
     imag = np.abs(gamma.imag).max()
@@ -188,8 +188,12 @@ def real_projection(g: np.ndarray) -> np.ndarray:
 
 
 def is_physical(g: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the reassembled density matrix has no eigenvalue below -tol."""
-    rho = density_from_correlation(g, tol=max(tol, DEFAULT_TOL))
+    """True iff the reassembled density matrix has no eigenvalue below -tol.
+
+    ``gamma[0,0]`` must be 1 within ``DEFAULT_TOL`` whatever ``tol`` is, or
+    ValueError is raised.
+    """
+    rho = density_from_correlation(g)
     return bool(np.linalg.eigvalsh(rho).min() >= -tol)
 
 

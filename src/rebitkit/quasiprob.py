@@ -19,6 +19,8 @@ transformed local states as n x 4 Bloch rows, one per label.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -100,7 +102,8 @@ def _transform(p_std: np.ndarray, maps: LocalMapPair) -> QuasiDecomposition:
                          f"on {('Alice', 'Bob')[side]}'s side")
     va, vb = pulled[:, 0]
     weights = p_std * va[:, None] * vb[None, :]
-    total = sum(weights.ravel().tolist())  # in entry order, as local_reconstruction sums
+    # in entry order, as local_reconstruction sums; sum() compensates from Python 3.12 on
+    total = reduce(add, weights.ravel().tolist(), 0.0)
     if abs(total) < 1e-12:
         raise ValueError("transformed weights sum to zero; cannot renormalize")
     alice, bob = (pulled / pulled[:, :1]).transpose(0, 2, 1)
@@ -111,7 +114,7 @@ def local_reconstruction(d: QuasiDecomposition) -> np.ndarray:
     """Correlation matrix of the expansion: sum of weighted Bloch outer products."""
     # one product per entry, Alice's label outermost: alice.T @ weights @ bob rounds otherwise
     weights = d.weights.ravel()
-    total = sum(weights.tolist())
+    total = reduce(add, weights.tolist(), 0.0)  # left to right, as _transform sums
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"weights sum to {total!r}, expected 1")
     i, j = np.divmod(np.arange(len(weights)), len(d.weights))  # Alice's label i, Bob's j

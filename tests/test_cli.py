@@ -1,9 +1,6 @@
-import functools
-import itertools
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import threading
@@ -47,6 +44,16 @@ def test_parse_mix():
     np.testing.assert_allclose(g, pc.cfr_state(1.0), atol=1e-15)
     g = cli.parse_state_spec("mix:RR=0.48,LL=0.48,mixed=0.04")
     np.testing.assert_allclose(g, np.diag([1.0, 0, 0, 0.96]), atol=1e-15)
+
+
+def test_parse_mix_weighs_over_left_to_right_total():
+    # (0.1 + 0.2) + 0.3 is 0.6000000000000001; a compensated sum, as sum() is
+    # from Python 3.12 on, gives 0.6 and other bits in every entry
+    total = (0.1 + 0.2) + 0.3
+    bloch = pc.POLARIZATION_BLOCH
+    expected = sum(np.outer(bloch[x], bloch[x]) * (w / total)
+                   for x, w in (("H", 0.1), ("V", 0.2), ("D", 0.3)))
+    np.testing.assert_array_equal(cli.parse_state_spec("mix:HH=0.1,VV=0.2,DD=0.3"), expected)
 
 
 def test_parse_gamma_file(tmp_path):
@@ -273,13 +280,36 @@ def test_read_counts_rejects_non_integer(tmp_path):
         cli.read_counts(str(path))
 
 
-def test_report_roundtrip_bit_exact(tmp_path):
+def _run_analysis_doc(monkeypatch, argv: list[str]) -> dict:
+    """Run the CLI on ``argv`` and return the one document ``run_analysis`` built."""
+    docs = []
+    real_run_analysis = cli.run_analysis
+
+    def run_analysis(*args, **kwargs):
+        docs.append(real_run_analysis(*args, **kwargs))
+        return docs[-1]
+
+    monkeypatch.setattr(cli, "run_analysis", run_analysis)
+    assert cli.main(argv) == 0
+    (doc,) = docs
+    return doc
+
+
+def _assert_report_holds(text: str, doc: dict) -> None:
+    """``text`` is ASCII, one line of compact strict JSON, and parses to ``doc``."""
+    parsed = _strict_json(text)
+    assert text.isascii()
+    assert text == json.dumps(parsed, allow_nan=False) + "\n"
+    assert parsed == doc
+
+
+def test_report_roundtrip_bit_exact(tmp_path, monkeypatch):
     out = tmp_path / "report.json"
-    cli.main(["exact", "--state", "cfr:q=0.75", "--target", "cfr:q=1", "--out", str(out)])
-    first = cli.read_report(str(out))
+    doc = _run_analysis_doc(monkeypatch, ["exact", "--state", "cfr:q=0.75", "--target", "cfr:q=1",
+                                          "--out", str(out)])
     # rewriting the parsed document must reproduce the file byte-for-byte
-    text = out.read_text()
-    assert json.dumps(first, indent=2) + "\n" == text
+    _assert_report_holds(out.read_text(), doc)
+    assert cli.read_report(str(out)) == doc
 
 
 def test_simulate_determinism(tmp_path):
@@ -803,29 +833,17 @@ def _write_gamma(path, gamma):
          "--fields", "complex", "--mc-samples", "30", "--seed", "2"],
     ],
 )
-def test_report_writer_matches_json_indent(tmp_path, monkeypatch, argv):
+def test_report_writer_writes_compact_json(tmp_path, monkeypatch, argv):
     gamma = _write_gamma(tmp_path / "g.txt", random_full_rank_gamma(np.random.default_rng(4)))
     counts = tmp_path / "c.txt"
     cli.main(["simulate", "--state", "mix:RR=0.48,LL=0.48,mixed=0.04", "--events", "2000",
               "--seed", "3", "--out", str(counts)])
-    docs = []
-
-    def run_analysis(*args, **kwargs):
-        docs.append(cli_run_analysis(*args, **kwargs))
-        return docs[-1]
-
-    cli_run_analysis = cli.run_analysis
-    monkeypatch.setattr(cli, "run_analysis", run_analysis)
     out = tmp_path / "r.json"
     argv = [a.format(gamma=gamma, counts=counts) for a in argv]
-    assert cli.main([*argv, "--out", str(out)]) == 0
-    text = out.read_text()
-    assert text == json.dumps(_strict_json(text), indent=2) + "\n"
+    doc = _run_analysis_doc(monkeypatch, [*argv, "--out", str(out)])
     # the file is the document run_analysis returned, a tree of plain JSON values
-    (doc,) = docs
     assert _plain_types(doc) <= {dict, list, str, float, int, bool, type(None)}
-    assert doc == json.loads(text)
-    assert cli._layout(doc) + "\n" == json.dumps(doc, indent=2) + "\n" == text
+    _assert_report_holds(out.read_text(), doc)
     assert ("extra_witnesses" in doc) == ("--observable" in argv)
 
 
@@ -875,119 +893,13 @@ def test_simulate_rejects_event_counts_beyond_float_precision(tmp_path, capsys):
 _HOSTILE_NAME = 'g", "], ["q\\"\\ é ψ\t.txt'
 
 
-def _hostile_documents() -> list:
-    hostile = {
-        "path": _HOSTILE_NAME,
-        "brackets": ["], [", '", "', "],\n  [", "\n"],
-        "numbers": [-0.0, 0, -1, True, False, None, 1e308, 5e-324],
-        "matrix": [[-0.0, 1], [True, "x"], ("t", 2.5)],
-        "ragged": [[1.0], [], [[2.0]], {}, {"k": []}],
-        "empty": [], "empty_dict": {}, "nested_empty": [[]],
-        _HOSTILE_NAME: {"a": [[1.0, 2.0]], "b": 3, "c": [{"d": [-0.0]}], "e": "f"},
-    }
-    return [hostile, [hostile, [hostile]], [], {}, "s", -0.0, 7, True, None]
-
-
-def test_report_writer_hostile_documents(tmp_path):
-    name = _HOSTILE_NAME
-    path = _write_gamma(tmp_path / name, pc.cfr_state(0.25))
+def test_report_writer_hostile_documents(tmp_path, monkeypatch):
+    path = _write_gamma(tmp_path / _HOSTILE_NAME, pc.cfr_state(0.25))
     out = tmp_path / "r.json"
-    assert cli.main(["exact", "--state", f"gamma:{path}", "--target", f"gamma:{path}",
-                     "--out", str(out)]) == 0
-    text = out.read_text()
-    assert text.isascii() and text == json.dumps(_strict_json(text), indent=2) + "\n"
-    assert _strict_json(text)["provenance"]["state"] == f"gamma:{path}"
-
-    for doc in _hostile_documents():
-        assert cli._layout(doc) == json.dumps(doc, indent=2)
-    with pytest.raises(ValueError, match="Out of range float"):
-        cli._layout({"a": [[1.0, float("nan")]]})
-
-
-@functools.cache
-def _reference_encoder(depth: int):
-    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "), allow_nan=False).encode
-
-
-def _reference_holds_containers(values) -> bool:
-    return any(issubclass(kind, (dict, list, tuple)) for kind in set(map(type, values)))
-
-
-def reference_layout(value, depth: int = 0) -> str:
-    """_layout with one JSONEncoder.encode per call, and each dict of lists walked."""
-    containers = (dict, list, tuple)
-    if not (isinstance(value, containers) and value):
-        return _reference_encoder(depth)(value)
-    inner = depth + 1
-    pad = "\n" + "  " * inner
-    if isinstance(value, dict):
-        parts, scalars = [], {}
-        for key, item in value.items():
-            if isinstance(item, containers) and item:
-                if scalars:
-                    parts.append(_reference_encoder(inner)(scalars)[1:-1])
-                    scalars = {}
-                parts.append(f"{_reference_encoder(inner)(key)}: {reference_layout(item, inner)}")
-            else:
-                scalars[key] = item
-        if scalars:
-            parts.append(_reference_encoder(inner)(scalars)[1:-1])
-        return "{" + pad + ("," + pad).join(parts) + pad[:-2] + "}"
-    if not _reference_holds_containers(value):
-        body = _reference_encoder(inner)(value)[1:-1]
-    elif (set(map(type, value)) <= {list, tuple} and all(value)
-          and not _reference_holds_containers(itertools.chain.from_iterable(value))):
-        row_pad = pad + "  "
-        rows = _reference_encoder(inner + 1)(value)[2:-2]
-        body = ("[" + row_pad + rows.replace("]," + row_pad + "[", pad + "]," + pad + "[" + row_pad)
-                + pad + "]")
-    else:
-        body = ("," + pad).join(reference_layout(item, inner) for item in value)
-    return "[" + pad + body + pad[:-2] + "]"
-
-
-def test_layout_bit_equal_to_reference(tmp_path):
-    flat_lists = {
-        "H": [1.0, -0.0, 5e-324, -1e308],
-        "],\n  [": ["],\n  [", '"],\n  ["', ":\n[", "x:\n[", 'k": ['],
-        ":\n[": (True, None, 0, "\u00e9\t"),
-        "": [-0.0],
-    }
-    docs = _hostile_documents() + [
-        flat_lists,
-        {"a": flat_lists, "b": [flat_lists, {"c": [1.0]}]},
-        {"a": [1.0], "b": []},                 # an empty list among flat ones
-        {"a": [1.0], "b": [[]]},               # a nested empty
-        {"a": [[1.0]], "b": [2.0]},            # a matrix among flat ones
-        {"a": [1.0], "b": {}}, {"a": [1.0], "b": 2.0}, {"a": [{}]}, {"a": [[], [1.0]]},
-    ]
-    # report documents, analyze with every optional block among them
-    counts, out = tmp_path / "c.txt", tmp_path / "r.json"
-    cli.main(["simulate", "--state", "mix:HH=0.3,DD=0.3,RL=0.3,mixed=0.1", "--events", "3000",
-              "--seed", "5", "--out", str(counts)])
-    real_run_analysis = cli.run_analysis
-
-    def run_analysis(*args, **kwargs):
-        docs.append(real_run_analysis(*args, **kwargs))
-        return docs[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "run_analysis", run_analysis)
-        for argv in (["exact", "--state", "cfr:q=0.3"],
-                     ["exact", "--state", "bell:psi-", "--fields", "complex", "--observable", "1,1,0"],
-                     ["analyze", "--counts", str(counts), "--target", "cfr:q=0", "--mc-samples", "20",
-                      "--observable", "0.5,-2,1e-3", "--observable", "0,0,-1"]):
-            assert cli.main([*argv, "--out", str(out)]) == 0
-    assert len(docs) == len(_hostile_documents()) + 12
-    for doc in docs:
-        for depth in range(4):
-            assert cli._layout(doc, depth) == reference_layout(doc, depth)
-        assert cli._layout(doc) == json.dumps(doc, indent=2)
-    for bad in ({"a": [1.0, float("nan")]}, {"a": [[1.0, float("inf")]]}, [float("-inf")], {"a": {1}}):
-        with pytest.raises((ValueError, TypeError)) as want:
-            reference_layout(bad)
-        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
-            cli._layout(bad)
+    doc = _run_analysis_doc(monkeypatch, ["exact", "--state", f"gamma:{path}",
+                                          "--target", f"gamma:{path}", "--out", str(out)])
+    _assert_report_holds(out.read_text(), doc)
+    assert doc["provenance"]["state"] == f"gamma:{path}"
 
 
 _EDGE_FLOATS = [

@@ -1,4 +1,6 @@
 import itertools
+from functools import reduce
+from operator import add
 from unittest import mock
 
 import numpy as np
@@ -377,6 +379,14 @@ def test_local_reconstruction_rejects_unnormalized_weights():
         qp.local_reconstruction(d)
 
 
+def test_local_reconstruction_sums_weights_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16, so the left-to-right total is 0.0; a
+    # compensated sum, as sum() is from Python 3.12 on, gives 1.0
+    d = basis_decomposition([("H", "H", 1e16), ("H", "V", 1.0), ("H", "D", -1e16)], NF.REAL)
+    with pytest.raises(ValueError, match=r"weights sum to 0\.0, expected 1"):
+        qp.local_reconstruction(d)
+
+
 def test_real_certificate_requires_whole_y_sector():
     # the y row and column are nonzero but gamma[y, y] = 0: no mixture of real products
     g = 0.8 * pc.product_correlation(pc.POLARIZATION_BLOCH["R"], pc.POLARIZATION_BLOCH["H"])
@@ -527,7 +537,7 @@ def reference_transform(p_std, maps):
     columns = np.stack([pc.POLARIZATION_BLOCH[lab] for lab in alphabet], axis=1)
     va, vb = (np.linalg.solve(m, columns) for m in (maps.a_map, maps.b_map))
     weights = p_std * va[0][:, None] * vb[0][None, :]
-    total = sum(weights.ravel().tolist())
+    total = reduce(add, weights.ravel().tolist(), 0.0)  # left to right, as sum() is before 3.12
     return qp.QuasiDecomposition(weights / total, (va / va[0]).T, (vb / vb[0]).T, maps.field)
 
 

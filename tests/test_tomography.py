@@ -1,4 +1,6 @@
 import tracemalloc
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -38,7 +40,10 @@ def _loop_probabilities(g):
 
 
 def _loop_estimate(counts):
-    """Reference: the per-setting linear inversion, in Python floats, settings in BASES order."""
+    """Reference: the per-setting linear inversion, in Python floats, settings in BASES order.
+
+    Variances are summed left to right, as numpy sums them; sum() compensates from Python 3.12 on.
+    """
     gamma, sigma = np.zeros((4, 4)), np.zeros((4, 4))
     gamma[0, 0] = 1.0
     marg_a, marg_b = [[], [], []], [[], [], []]
@@ -55,9 +60,9 @@ def _loop_estimate(counts):
             marg_b[j].append((mb, max(1.0 - mb**2, 0.0) / n))
     for k in range(3):
         gamma[k + 1, 0] = np.mean([v for v, _ in marg_a[k]])
-        sigma[k + 1, 0] = np.sqrt(sum(var for _, var in marg_a[k])) / 3
+        sigma[k + 1, 0] = np.sqrt(reduce(add, (var for _, var in marg_a[k]), 0.0)) / 3
         gamma[0, k + 1] = np.mean([v for v, _ in marg_b[k]])
-        sigma[0, k + 1] = np.sqrt(sum(var for _, var in marg_b[k])) / 3
+        sigma[0, k + 1] = np.sqrt(reduce(add, (var for _, var in marg_b[k]), 0.0)) / 3
     return gamma, sigma
 
 
