@@ -61,9 +61,9 @@ from .tomography import (
     MAX_EVENTS,
     CountsDataset,
     EstimatedState,
+    _draw,
     estimate_correlations,
     mix_datasets,
-    monte_carlo_propagate,
     repair_to_physical,
     simulate_counts,
 )
@@ -225,6 +225,10 @@ def write_counts(path: str, dataset: CountsDataset, meta: dict[str, str] | None 
     _write_text(path, "\n".join(lines) + "\n")
 
 
+# the row of each (alice basis, bob basis) record in the counts array
+_SETTING_INDEX = {setting: k for k, setting in enumerate(product(BASES, BASES))}
+
+
 def read_counts(path: str) -> CountsDataset:
     rows = [None] * 9  # one record per setting, in BASES x BASES order
     for lineno, raw in enumerate(_read_lines(path, "counts file"), start=1):
@@ -235,9 +239,9 @@ def read_counts(path: str) -> CountsDataset:
         if len(parts) != 6:
             raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
         a, b = parts[0], parts[1]
-        if a not in BASES or b not in BASES:
+        k = _SETTING_INDEX.get((a, b))
+        if k is None:
             raise ValueError(f"{path}:{lineno}: unknown basis pair ({a}, {b})")
-        k = 3 * BASES.index(a) + BASES.index(b)
         if rows[k] is not None:
             raise ValueError(f"{path}:{lineno}: duplicate setting ({a}, {b})")
         try:
@@ -310,9 +314,12 @@ def run_analysis(
     The witness and the similarity are evaluated on the raw estimate (the
     witness uncertainty propagates quadratically from the entrywise
     standard deviations); decompositions require a physical state, so they
-    consume the eigenvalue-clipped repair of the estimate.  Monte Carlo
-    repairs its samples the same way and spreads the similarity and the
-    closed-form ``expansion_error`` over them.
+    consume the eigenvalue-clipped repair of the estimate.  When Monte
+    Carlo runs, the estimate is row 0 of its sample stack: one
+    ``repair_to_physical`` call repairs it and the draws of
+    ``monte_carlo_propagate``, each row with the bits it has alone, and
+    the similarity and the closed-form ``expansion_error`` spread over
+    rows 1 on.  Without Monte Carlo the estimate is repaired alone.
 
     The document is the plain dict ``write_report`` writes, keys in file
     order, every number rounded by ``_round9`` as it is built; the summary
@@ -320,15 +327,13 @@ def run_analysis(
     """
     gamma = estimated.gamma
     witness = _witness_dict(evaluate_witness(gamma, SIGMA_YY, sigma_gamma=estimated.sigma))
-    gamma_phys = repair_to_physical(gamma)
-
-    # the repair is checked and physical: decompose it without checking again
-    results = {fld: _decompose(gamma_phys, fld)[0] for fld in fields}
     sigmas = np.zeros(2 * len(fields) + (target_gamma is not None))
     mc_block = None
     if mc_samples and estimated.sigma.max() > 0.0:
         try:
-            samples = monte_carlo_propagate(estimated, mc_samples, mc_seed)
+            draws = _draw(estimated, mc_samples, mc_seed)
+            stack = repair_to_physical(np.concatenate([gamma[None], draws]))
+            gamma_phys, samples = stack[0], stack[1:]
             # columns: distance and residual per field, then the similarity
             columns = [c for fld in fields for c in expansion_error(samples, fld)]
             if target_gamma is not None:
@@ -339,7 +344,11 @@ def run_analysis(
                 f"--mc-samples {mc_samples} needs more memory than is available"
             ) from None
         mc_block = {"samples": mc_samples, "seed": mc_seed}
+    else:
+        gamma_phys = repair_to_physical(gamma)
 
+    # the repair is checked and physical: decompose it without checking again
+    results = {fld: _decompose(gamma_phys, fld)[0] for fld in fields}
     similarity_block = None
     if target_gamma is not None:
         value, sigma = _round9([similarity(gamma, target_gamma), sigmas[-1]])

@@ -24,6 +24,9 @@ from enum import Enum
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+# matrices per block of the Pauli transforms and of tomography.repair_to_physical:
+# their temporaries stay under 1 MB
+_BLOCK = 256
 
 IDX_0, IDX_Z, IDX_X, IDX_Y = 0, 1, 2, 3
 
@@ -59,17 +62,29 @@ def _pauli_sum(x: np.ndarray, terms: tuple[np.ndarray, np.ndarray]) -> np.ndarra
 
     Adds each entry's terms in ascending row order and rounds as a
     sequential accumulator started at +0 does, the same in a lone matrix
-    as in a stack of any size.
+    as in a stack of any size.  A stack of more than ``_BLOCK`` matrices
+    goes block by block, so the gathered terms stay small beside it.
     """
+    flat = x.reshape(-1, 16)
+    if len(flat) <= _BLOCK:
+        return _pauli_block(flat, terms).T.reshape(x.shape)
+    s = np.empty((16, len(flat)), complex)  # laid out as one pass lays out its sums
+    for a in range(0, len(flat), _BLOCK):
+        s[:, a : a + _BLOCK] = _pauli_block(flat[a : a + _BLOCK], terms)
+    return s.T.reshape(x.shape)
+
+
+def _pauli_block(flat: np.ndarray, terms: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The (16, n) sums of ``_pauli_sum`` for n flattened matrices, entry first."""
     rows, values = terms
     # gathered as (term, entry, matrix), so each term is one contiguous block
-    t = x.astype(complex, copy=False).reshape(-1, 16).T.take(rows, axis=0)
+    t = flat.astype(complex, copy=False).T.take(rows, axis=0)
     t *= values
     s = t[0] + t[1]
     s += t[2]
     s += t[3]
     s += 0j  # a sum of -0 terms is +0 from a +0 start
-    return s.T.reshape(x.shape)
+    return s
 
 
 class NumberField(Enum):
@@ -128,20 +143,35 @@ def correlation_from_density(rho: np.ndarray) -> np.ndarray:
     """Correlation matrix gamma[mu,nu] = tr(rho sigma_mu (x) sigma_nu).
 
     Rejects non-Hermitian input and flags trace deviations; imaginary
-    residue above 1e-10 raises rather than being dropped silently.
+    residue above 1e-10 raises rather than being dropped silently.  A NaN
+    or infinite entry raises too, named by its place.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got {rho.shape}")
-    herm_err = np.abs(rho - rho.conj().swapaxes(-1, -2)).max()
-    if herm_err > DEFAULT_TOL:
+    # conj(rho^H) - rho is the negated deviation, computed in its own buffer;
+    # a non-finite entry makes it NaN or infinite, without a warning
+    deviation = rho.swapaxes(-1, -2).conj()
+    with np.errstate(invalid="ignore"):
+        deviation -= rho
+    herm_err = np.abs(deviation).max()
+    del deviation
+    # written "not err <= tol", so that a NaN fails them too
+    if not herm_err <= DEFAULT_TOL:
+        finite = np.isfinite(rho)
+        if not finite.all():
+            idx = tuple(np.argwhere(~finite)[0])
+            i, j = idx[-2:]
+            raise ValueError(
+                f"density matrix has a non-finite entry: rho[{i},{j}] = {complex(rho[idx])!r}"
+            )
         raise ValueError(f"density matrix not Hermitian (max deviation {herm_err:.3e})")
     trace_err = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max()
-    if trace_err > DEFAULT_TOL:
+    if not trace_err <= DEFAULT_TOL:
         raise ValueError(f"density matrix trace deviates from 1 by {trace_err:.3e}")
     gamma = _pauli_sum(rho, _CORRELATION_TERMS)
     imag = np.abs(gamma.imag).max()
-    if imag > 1e-10:
+    if not imag <= 1e-10:
         raise ValueError(f"correlations carry imaginary residue {imag:.3e}")
     return gamma.real.copy()
 

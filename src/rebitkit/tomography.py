@@ -10,9 +10,11 @@ The counts of all nine settings are one (3, 3, 4) int64 array, and
 simulation, estimation and mixing are array math over it.  Linear
 inversion recovers the correlation matrix with binomial standard errors.
 Monte Carlo resamples correlation matrices entrywise normally and repairs
-the (N, 4, 4) stack of samples block by block (a closed-form positivity
+the (N, 4, 4) stack of samples block by block: a closed-form positivity
 check passes most of them as they are, and a batched eigendecomposition
-clips the rest); a caller spreads any batched analysis over the stack.
+clips the rest, in place when the check passes none of the block.  A
+caller may stack the estimate on its draws, so that one repair serves
+both, and spread any batched analysis over the repaired stack.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli_core import (
+    _BLOCK,
+    _CORRELATION_TERMS,
+    _pauli_sum,
     check_correlation,
-    correlation_from_density,
     density_from_correlation,
 )
 
@@ -35,8 +39,6 @@ DEFAULT_MC_SAMPLES = 10_000
 MAX_EVENTS = 2**53
 # eigenvalue margin of the positivity check; eigh's backward error is about 1e-15
 _POSITIVE_MARGIN = 1e-9
-# matrices per block of repair_to_physical: its temporaries stay under 1 MB
-_BLOCK = 256
 # eigenvalues at or above this are round-off and are not clipped: eigh's backward
 # error is about 4e-16 for ||rho|| <= 1, so a clipped matrix's rebuild lies above it
 _ROUNDOFF_FLOOR = -1e-14
@@ -71,6 +73,11 @@ class CountsDataset:
             raise ValueError(f"setting {(BASES[i], BASES[j])} {fault}")
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
+
+
+# counts @ _SIGNS gives per setting its events, then the unnormalised correlation,
+# Alice's marginal and Bob's marginal: one column each, one row per outcome
+_SIGNS = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, -1, -1, 1], [1, 1, -1, -1]], np.int64)
 
 
 @dataclass
@@ -118,14 +125,14 @@ def estimate_correlations(c: CountsDataset) -> EstimatedState:
     bases, with variances combined quadratically.  sigma[0, 0] is zero
     since the normalization is exact.
     """
-    n_pp, n_pm, n_mp, n_mm = np.moveaxis(c.counts, -1, 0)
-    n = n_pp + n_pm + n_mp + n_mm
+    sums = c.counts @ _SIGNS  # exact: int64 holds four counts of up to 2**53
+    n = sums[..., :1]
     # per setting: the correlation, Alice's marginal and Bob's marginal
-    values = np.stack([n_pp - n_pm - n_mp + n_mm, n_pp + n_pm - n_mp - n_mm,
-                       n_pp - n_pm + n_mp - n_mm]) / n
-    corr, alice, bob = values
+    values = sums[..., 1:] / n
+    corr, alice, bob = values.transpose(2, 0, 1)
     # float_power is C pow, which rounds as Python's float ** 2 does
-    var_corr, var_alice, var_bob = np.maximum(1.0 - np.float_power(values, 2), 0.0) / n
+    var = np.maximum(1.0 - np.float_power(values, 2), 0.0) / n
+    var_corr, var_alice, var_bob = var.transpose(2, 0, 1)
     gamma = np.zeros((4, 4))
     sigma = np.zeros((4, 4))
     gamma[0, 0] = 1.0
@@ -177,9 +184,16 @@ def _clip(g: np.ndarray, rho: np.ndarray) -> None:
     w, v = np.linalg.eigh(rho)
     if w.min() < _ROUNDOFF_FLOOR:  # one scalar test; a mask's any() costs more on a lone matrix
         bad = w[..., 0] < _ROUNDOFF_FLOOR  # eigh sorts each spectrum ascending
-        w, v = np.clip(w[bad], 0.0, None), v[bad]
-        w = w / w.sum(axis=-1, keepdims=True)
-        g[bad] = correlation_from_density((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2))
+        if bad.all():  # every spectrum is clipped: no gather, and w is clipped in place
+            bad = ...
+            np.clip(w, 0.0, None, out=w)
+        else:
+            w, v = np.clip(w[bad], 0.0, None), v[bad]
+        w /= w.sum(axis=-1, keepdims=True)
+        # Hermitian, finite and of unit trace by construction: correlation_from_density's
+        # checks would pass every rebuilt matrix, so the transform runs without them
+        rebuilt = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        g[bad] = _pauli_sum(rebuilt, _CORRELATION_TERMS).real
 
 
 def repair_to_physical(g: np.ndarray) -> np.ndarray:
@@ -202,11 +216,33 @@ def repair_to_physical(g: np.ndarray) -> np.ndarray:
         block = stack[a : a + _BLOCK]
         rho = density_from_correlation(block)
         uncertain = ~_certified_positive(rho)
-        if uncertain.any():
+        if uncertain.all():  # edge data: no gather and scatter
+            _clip(block, rho)
+        elif uncertain.any():
             part = block[uncertain]
             _clip(part, rho[uncertain])
             block[uncertain] = part
     return g
+
+
+def _draw(e: EstimatedState, n_samples: int, seed: int) -> np.ndarray:
+    """``n_samples`` correlation matrices drawn around the estimate, not yet repaired.
+
+    Entries are normal with the entrywise standard deviations, all from one
+    ``default_rng(seed)`` stream in sample order, and gamma[0, 0] is 1.  A
+    count whose stack exceeds numpy's array limits raises MemoryError.
+    """
+    if n_samples < 2:
+        raise ValueError("n_samples must be >= 2")
+    rng = np.random.default_rng(seed)
+    try:
+        noise = rng.standard_normal((n_samples, 4, 4))
+    except ValueError:  # numpy rejects such a shape before it allocates anything
+        raise MemoryError(f"{n_samples} samples exceed numpy's array limits") from None
+    noise *= e.sigma
+    noise += e.gamma  # in place: the bits of e.gamma + e.sigma * noise
+    noise[:, 0, 0] = 1.0
+    return noise
 
 
 def monte_carlo_propagate(e: EstimatedState, n_samples: int, seed: int) -> np.ndarray:
@@ -219,15 +255,8 @@ def monte_carlo_propagate(e: EstimatedState, n_samples: int, seed: int) -> np.nd
     eigendecomposes only the samples its positivity check cannot pass
     as they are, and zeroes their negative eigenvalues).  A sample count
     whose stack exceeds numpy's array limits raises MemoryError, as one
-    that exceeds the memory does.
+    that exceeds the memory does.  ``cli.run_analysis`` repairs the same
+    draws with the estimate stacked on top, in one call, and each row
+    keeps the bits it has here.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
-    rng = np.random.default_rng(seed)
-    try:
-        noise = rng.standard_normal((n_samples, 4, 4))
-    except ValueError:  # numpy rejects such a shape before it allocates anything
-        raise MemoryError(f"{n_samples} samples exceed numpy's array limits") from None
-    samples = e.gamma + e.sigma * noise
-    samples[:, 0, 0] = 1.0
-    return repair_to_physical(samples)
+    return repair_to_physical(_draw(e, n_samples, seed))

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -1019,3 +1020,64 @@ def test_exact_real_certificate_false_for_complex_product_mixture(tmp_path, caps
     summary = capsys.readouterr().out
     assert "real decomposition: distance 0.565685425 +- 0, separable: False" in summary
     assert "complex decomposition: distance" in summary and "separable: True" in summary
+
+
+@pytest.mark.parametrize("record, message", [
+    ("z z 1 2 3", "expected 6 fields, got 5"),
+    ("z q 1 2 3 4", r"unknown basis pair \(z, q\)"),
+    ("Z z 1 2 3 4", r"unknown basis pair \(Z, z\)"),
+    ("x y 1 2 3 4", r"duplicate setting \(x, y\)"),
+    ("y z 1 2 3 four", r"counts must be integers, got \['1', '2', '3', 'four'\]"),
+])
+def test_read_counts_record_diagnostics_name_their_line(tmp_path, record, message):
+    # header, two records, then the faulty record on line 4
+    path = tmp_path / "bad.txt"
+    path.write_text(f"# rebitkit counts v1\nx y 1 2 3 4\n\n{record}\nz z 1 1 1 1\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:4: {message}$"):
+        cli.read_counts(str(path))
+
+
+@pytest.mark.parametrize("spec, events, seed, repaired", [
+    ("mix:RR=0.495,LL=0.495,mixed=0.01", 300, 3, True),  # edge-like: the estimate is clipped
+    ("mix:RR=0.48,LL=0.48,mixed=0.04", 100_000, 0, False),  # lab-like: nothing is clipped
+    ("bell:phi+", 1000, 0, True),
+])
+@pytest.mark.parametrize("mc_samples", [0, 2, 255, 256, 257])  # 256 moves to the next block
+def test_stacked_repair_equals_two_step_reference(monkeypatch, spec, events, seed, repaired,
+                                                  mc_samples):
+    est = tm.estimate_correlations(tm.simulate_counts(cli.parse_state_spec(spec), events, seed))
+    target = cli.parse_state_spec("cfr:q=1")
+
+    def two_step(g):
+        """The repair as two calls: the estimate alone, then Monte Carlo's own pass."""
+        if g.ndim == 2:
+            return tm.repair_to_physical(g)
+        assert g[0].tobytes() == est.gamma.tobytes() and len(g) == mc_samples + 1
+        return np.concatenate([tm.repair_to_physical(est.gamma)[None],
+                               tm.monte_carlo_propagate(est, mc_samples, 5)])
+
+    def analysis():
+        """The document and the bytes of every state the decompositions and columns read."""
+        seen = []
+        decompose, expansion_error = qp._decompose, qp.expansion_error
+
+        def recording_decompose(g, fld):
+            seen.append(g.tobytes())
+            return decompose(g, fld)
+
+        def recording_expansion_error(samples, fld):
+            seen.append(samples.tobytes())
+            return expansion_error(samples, fld)
+
+        monkeypatch.setattr(cli, "_decompose", recording_decompose)
+        monkeypatch.setattr(cli, "expansion_error", recording_expansion_error)
+        doc = cli.run_analysis(est, [NF.REAL, NF.COMPLEX], target, mc_samples=mc_samples,
+                               mc_seed=5, provenance={"target": "cfr:q=1"})
+        return doc, seen
+
+    doc, seen = analysis()
+    monkeypatch.setattr(cli, "repair_to_physical", two_step)
+    want_doc, want_seen = analysis()
+    assert json.dumps(doc) == json.dumps(want_doc)
+    assert seen == want_seen and len(seen) == 2 + 2 * (mc_samples > 0)
+    assert doc["provenance"]["estimate_repaired"] is repaired

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,7 +223,8 @@ def _correlation_einsum(rho):
     return np.einsum("...ij,mnji->...mn", rho, pc.KRON).real.copy()
 
 
-@pytest.mark.parametrize("shape", [(), (1,), (2,), (150,), (10_000,), (3, 5)])
+@pytest.mark.parametrize("shape", [(), (1,), (2,), (150,), (10_000,), (3, 5),
+                                   (256,), (257,), (3, 171)])  # blocks of 256 and a remainder
 def test_transforms_equal_einsum_bit_for_bit(shape):
     rng = np.random.default_rng(len(shape) * 100_000 + sum(shape))
     g = rng.uniform(-1, 1, size=shape + (4, 4))
@@ -238,3 +241,43 @@ def test_transforms_equal_einsum_bit_for_bit(shape):
     gamma = pc.correlation_from_density(rho)
     assert gamma.shape == g.shape
     assert gamma.tobytes() == _correlation_einsum(rho).tobytes()
+
+
+@pytest.mark.parametrize("entry, value, message", [
+    ((0, 0), np.nan, r"rho\[0,0\] = \(nan\+0j\)"),
+    ((1, 2), complex(0.1, np.nan), r"rho\[1,2\] = \(0\.1\+nanj\)"),
+    ((3, 3), np.inf, r"rho\[3,3\] = \(inf\+0j\)"),
+    ((0, 3), -np.inf, r"rho\[0,3\] = \(-inf\+0j\)"),
+], ids=["nan-diagonal", "nan-off-diagonal", "inf-diagonal", "inf-off-diagonal"])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_correlation_rejects_non_finite_entries(entry, value, message, stacked):
+    rho = np.eye(4, dtype=complex) / 4
+    rho[entry] = value
+    if entry[0] != entry[1]:  # also where its partner keeps rho Hermitian
+        rho[entry[::-1]] = np.conj(value)
+    if stacked:
+        rho = np.concatenate([np.tile(np.eye(4) / 4, (300, 1, 1)), rho[None]])
+    with pytest.raises(ValueError, match=f"non-finite entry: {message}"):
+        pc.correlation_from_density(rho)
+    with pytest.raises(ValueError, match="non-finite entry"):
+        pc.correlation_from_density(np.full(rho.shape, np.nan))
+
+
+@pytest.mark.parametrize("n", [257, 10_000])
+def test_transform_temporaries_stay_small(n):
+    # stacks of more than 256 matrices are summed block by block
+    rng = np.random.default_rng(n)
+    g = rng.uniform(-1, 1, size=(n, 4, 4))
+    g[:, 0, 0] = 1.0
+    rho = pc.density_from_correlation(g)
+    for fn, x, out in ((pc.density_from_correlation, g, rho),
+                       (pc.correlation_from_density, rho, g)):
+        tracemalloc.start()
+        try:
+            fn(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output, and for the Hermitian check one copy of rho
+        limit = out.nbytes + (rho.nbytes if x is rho else 0) + 1_000_000
+        assert peak < limit

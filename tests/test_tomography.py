@@ -515,3 +515,12 @@ def test_repair_of_a_stack_keeps_its_diagnostics():
     with pytest.raises(ValueError, match=r"not normalized: gamma\[0,0\] = 0.5"):
         tm.repair_to_physical(stack)
     assert tm.repair_to_physical(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+
+
+def test_monte_carlo_repairs_the_raw_draws():
+    est = tm.estimate_correlations(tm.simulate_counts(pc.cfr_state(1.0), 300, seed=2))
+    draws = tm._draw(est, 300, 8)
+    reference = est.gamma + est.sigma * np.random.default_rng(8).standard_normal((300, 4, 4))
+    reference[:, 0, 0] = 1.0
+    assert draws.tobytes() == reference.tobytes()
+    assert tm.monte_carlo_propagate(est, 300, 8).tobytes() == tm.repair_to_physical(draws).tobytes()
