@@ -227,8 +227,6 @@ def is_physical(g: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.linalg.eigvalsh(rho).min() >= -tol)
 
 
-def product_correlation(a: LocalState | np.ndarray, b: LocalState | np.ndarray) -> np.ndarray:
-    """Correlation matrix of a product state, the outer product of Bloch vectors."""
-    va = a.bloch if isinstance(a, LocalState) else np.asarray(a, float)
-    vb = b.bloch if isinstance(b, LocalState) else np.asarray(b, float)
-    return np.outer(va, vb)
+def product_correlation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Correlation matrix of a product state, the outer product of two Bloch 4-vectors."""
+    return np.outer(np.asarray(a, float), np.asarray(b, float))

@@ -67,34 +67,65 @@ def test_cfr_scan_rejects_bad_visibility(capsys, visibility):
         assert "error: parameter 'v'" in captured.err
 
 
-def test_replicate_experiment_small_run(tmp_path, capsys):
-    load_script("replicate_experiment").main(
-        ["--events", "2000", "--mc-samples", "20", "--workdir", str(tmp_path)]
-    )
+def analyze_point(tmp_path, capsys, spec, events, mc_samples, seed):
+    """``simulate`` then ``analyze`` one scan point through the CLI: exit code and report."""
+    counts, out = tmp_path / "counts.txt", tmp_path / "r.json"
+    assert cli.main(["simulate", "--state", spec, "--events", str(events),
+                     "--seed", str(seed), "--out", str(counts)]) == 0
+    rc = cli.main(["analyze", "--counts", str(counts), "--target", spec, "--mc-samples",
+                   str(mc_samples), "--seed", str(seed + 1), "--out", str(out)])
+    return rc, capsys.readouterr().err, cli.read_report(str(out)) if rc == 0 else None
+
+
+@pytest.mark.parametrize("visibility", ["1.0", "0.96"])
+def test_cfr_scan_simulated_rows_are_analyze_reports(tmp_path, capsys, visibility):
+    load_script("cfr_scan").main(["--steps", "3", "--visibility", visibility,
+                                  "--events", "2000", "--mc-samples", "20", "--seed", "5"])
     lines = capsys.readouterr().out.splitlines()
-    # the CLI's own output comes first
-    table = lines[next(i for i, line in enumerate(lines) if line.startswith("state ")):]
-    assert table[0].split() == [
-        "state", "<yy>", "witness", "similarity", "[%]", "real", "distance", "complex", "distance"
-    ]
-    assert [row.split()[0] for row in table[1:3]] == ["q=1", "q=0"]
-    assert table[3] == ""
-    assert table[-1].startswith("ideal targets: witness +-0.96, real distance 0.48")
-    for tag in ("q=1", "q=0"):
-        for field, header in (("real", ",H,V,D,A"), ("complex", ",H,V,D,A,R,L")):
-            csv = (tmp_path / f"report_{tag}.quasi_{field}.csv").read_text().splitlines()
-            assert csv[0] == header
-            assert [row.split(",")[0] for row in csv[1:]] == header.split(",")[1:]
+    assert lines[0] == ("q,witness,real_distance,residual,complex_distance,real_sep,complex_sep,"
+                        "witness_sigma,similarity,similarity_sigma,real_distance_sigma,residual_sigma")
+    assert len(lines) == 4
+    for k, (line, q) in enumerate(zip(lines[1:], [0.0, 0.5, 1.0])):
+        spec = f"cfr:q={q!r},v={float(visibility)!r}"
+        rc, _, doc = analyze_point(tmp_path, capsys, spec, 2000, 20, 5 + 2 * k)
+        assert rc == 0
+        w, sim = doc["witness"], doc["similarity_to_target"]
+        real, cplx = doc["decompositions"]["real"], doc["decompositions"]["complex"]
+        values = [w["expectation"], real["distance"], real["residual_coeff"], cplx["distance"]]
+        sigmas = [w["sigma"], sim["value"], sim["sigma"],
+                  real["distance_sigma"], real["residual_sigma"]]
+        assert line.split(",") == [
+            f"{q:.3f}", *map("{:.9g}".format, values),
+            str(real["certificate"]), str(cplx["certificate"]), *map("{:.9g}".format, sigmas),
+        ]
+        assert doc["monte_carlo"] == {"samples": 20, "seed": 6 + 2 * k}
 
 
-def test_replicate_experiment_rejects_bad_visibility(tmp_path, capsys):
+def test_cfr_scan_rejected_point_names_its_q(tmp_path, capsys):
+    # two events per setting: at q = 0.8 (point 8) the estimate has no standard form
     with pytest.raises(SystemExit) as exc:
-        load_script("replicate_experiment").main(
-            ["--visibility", "1.5", "--events", "100", "--workdir", str(tmp_path)]
-        )
+        load_script("cfr_scan").main(["--steps", "11", "--events", "2", "--mc-samples", "0",
+                                      "--seed", "400"])
     assert exc.value.code == 2
-    assert "negative weight for component 'mixed'" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 9
+    rc, err, _ = analyze_point(tmp_path, capsys, "cfr:q=0.8,v=1.0", 2, 0, 416)
+    assert rc == 2 and err.startswith("error: no diagonal standard form")
+    assert captured.err == err.replace("error: ", "error: at q=0.8: ", 1)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--events", "0"], "error: --events must lie in [1, 2**53], got 0"),
+    (["--events", "2000", "--mc-samples", "1"],
+     "error: --mc-samples must be 0 (none) or at least 2, got 1"),
+    (["--events", "2000", "--seed", "-1"], "error: --seed must be a non-negative integer, got -1"),
+    (["--mc-samples", "20"], "error: --mc-samples and --seed need --events"),
+])
+def test_cfr_scan_rejects_bad_sampling_options(capsys, args, message):
+    with pytest.raises(SystemExit) as exc:
+        load_script("cfr_scan").main(["--steps", "3", *args])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", message + "\n")
 
 
 def test_bench_writes_end_to_end_medians(tmp_path, capsys):

@@ -95,23 +95,21 @@ def test_analytic_real_max():
 
 
 def test_numeric_sigma_yy_real_degenerate():
-    pairs = wt.numeric_separability_eigs(
-        wt.SIGMA_YY.matrix(), NF.REAL, n_starts=6, seed=0
-    )
+    pairs = wt.numeric_separability_eigs(wt.SIGMA_YY.matrix(), NF.REAL, n_starts=6)
     assert len(pairs) == 1
     assert pairs[0].value == pytest.approx(0.0, abs=1e-10)
     assert pairs[0].degenerate
 
 
 def test_numeric_zero_matrix():
-    pairs = wt.numeric_separability_eigs(np.zeros((4, 4)), NF.REAL, n_starts=4, seed=1)
+    pairs = wt.numeric_separability_eigs(np.zeros((4, 4)), NF.REAL, n_starts=4)
     assert all(p.value == pytest.approx(0.0, abs=1e-12) for p in pairs)
     assert all(p.degenerate for p in pairs)
 
 
 def test_numeric_matches_analytic_example():
     obs = wt.DiagObservable(1.0, 0.5, 0.25)
-    pairs = wt.numeric_separability_eigs(obs.matrix(), NF.COMPLEX, n_starts=8, seed=3)
+    pairs = wt.numeric_separability_eigs(obs.matrix(), NF.COMPLEX, n_starts=8)
     values = [p.value for p in pairs]
     assert min(values) == pytest.approx(-1.0, abs=1e-6)
     assert max(values) == pytest.approx(1.0, abs=1e-6)
@@ -150,7 +148,7 @@ def test_numeric_fixed_point_residuals():
         obs = wt.DiagObservable(lz, lx, ly)
         tensor = obs.matrix().reshape(2, 2, 2, 2)
         for field in (NF.REAL, NF.COMPLEX):
-            for p in wt.numeric_separability_eigs(obs.matrix(), field, n_starts=4, seed=11):
+            for p in wt.numeric_separability_eigs(obs.matrix(), field, n_starts=4):
                 a, b = p.alice.bloch, p.bob.bloch
                 if field is NF.REAL:
                     assert abs(a[3]) < 1e-9 and abs(b[3]) < 1e-9
@@ -185,7 +183,7 @@ def test_numeric_general_symmetric_within_sampled_bounds():
 def test_numeric_solver_deterministic():
     obs = wt.DiagObservable(0.9, -0.4, 0.2).matrix()
     runs = [
-        wt.numeric_separability_eigs(obs, NF.COMPLEX, n_starts=6, seed=42)
+        wt.numeric_separability_eigs(obs, NF.COMPLEX, n_starts=6)
         for _ in range(2)
     ]
     assert [p.value for p in runs[0]] == [p.value for p in runs[1]]
