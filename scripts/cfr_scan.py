@@ -41,8 +41,13 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=None, help="seed S of point 0 (default 0)")
     args = parser.parse_args(argv)
 
+    if args.steps < 0:
+        parser.exit(2, f"error: --steps must be a non-negative integer, got {args.steps}\n")
     try:
         qs = np.linspace(0.0, 1.0, args.steps)
+    except (ValueError, IndexError, MemoryError):  # numpy's ways to refuse a grid too large
+        parser.exit(2, f"error: --steps {args.steps} needs more memory than is available\n")
+    try:
         gammas = [parse_state_spec(f"cfr:q={float(q)!r},v={args.visibility!r}") for q in qs]
     except ValueError as exc:
         parser.error(str(exc))

@@ -61,10 +61,9 @@ from .tomography import (
     MAX_EVENTS,
     CountsDataset,
     EstimatedState,
-    _draw,
     estimate_correlations,
     mix_datasets,
-    repair_to_physical,
+    monte_carlo_propagate,
     simulate_counts,
 )
 from .witness import SIGMA_YY, DiagObservable, WitnessVerdict, evaluate_witness
@@ -314,12 +313,12 @@ def run_analysis(
     The witness and the similarity are evaluated on the raw estimate (the
     witness uncertainty propagates quadratically from the entrywise
     standard deviations); decompositions require a physical state, so they
-    consume the eigenvalue-clipped repair of the estimate.  When Monte
-    Carlo runs, the estimate is row 0 of its sample stack: one
-    ``repair_to_physical`` call repairs it and the draws of
-    ``monte_carlo_propagate``, each row with the bits it has alone, and
-    the similarity and the closed-form ``expansion_error`` spread over
-    rows 1 on.  Without Monte Carlo the estimate is repaired alone.
+    consume the eigenvalue-clipped repair of the estimate.  One
+    ``monte_carlo_propagate`` call gives that repair as row 0 of its stack,
+    for ``exact`` and ``--mc-samples 0`` too, where the stack holds no
+    other row; the similarity and the closed-form ``expansion_error``
+    spread over rows 1 on.  Monte Carlo draws no samples when sigma is
+    all zero.
 
     The document is the plain dict ``write_report`` writes, keys in file
     order, every number rounded by ``_round9`` as it is built; the summary
@@ -327,25 +326,23 @@ def run_analysis(
     """
     gamma = estimated.gamma
     witness = _witness_dict(evaluate_witness(gamma, SIGMA_YY, sigma_gamma=estimated.sigma))
+    n_samples = mc_samples if estimated.sigma.max() > 0.0 else 0
     sigmas = np.zeros(2 * len(fields) + (target_gamma is not None))
-    mc_block = None
-    if mc_samples and estimated.sigma.max() > 0.0:
-        try:
-            draws = _draw(estimated, mc_samples, mc_seed)
-            stack = repair_to_physical(np.concatenate([gamma[None], draws]))
-            gamma_phys, samples = stack[0], stack[1:]
+    try:
+        stack = monte_carlo_propagate(estimated, n_samples, mc_seed)
+        if n_samples:
+            samples = stack[1:]
             # columns: distance and residual per field, then the similarity
             columns = [c for fld in fields for c in expansion_error(samples, fld)]
             if target_gamma is not None:
                 columns.append(similarity(samples, target_gamma))
             sigmas = np.stack(columns, axis=-1).std(axis=0, ddof=1)
-        except MemoryError:
-            raise ValueError(
-                f"--mc-samples {mc_samples} needs more memory than is available"
-            ) from None
-        mc_block = {"samples": mc_samples, "seed": mc_seed}
-    else:
-        gamma_phys = repair_to_physical(gamma)
+    except MemoryError:
+        raise ValueError(
+            f"--mc-samples {mc_samples} needs more memory than is available"
+        ) from None
+    gamma_phys = stack[0]
+    mc_block = {"samples": mc_samples, "seed": mc_seed} if n_samples else None
 
     # the repair is checked and physical: decompose it without checking again
     results = {fld: _decompose(gamma_phys, fld)[0] for fld in fields}
@@ -562,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana = sub.add_parser("analyze", help="characterize a counts file")
     p_ana.add_argument("--counts", required=True, help="counts file to read")
     p_ana.add_argument("--target", default="", help="state spec for the similarity comparison")
-    p_ana.add_argument("--fields", "--field", default="real,complex", help="comma list of number fields")
+    p_ana.add_argument("--fields", default="real,complex", help="comma list of number fields")
     p_ana.add_argument("--mc-samples", type=int, default=DEFAULT_MC_SAMPLES, help="Monte-Carlo sample count")
     p_ana.add_argument("--seed", type=int, default=None, help="Monte-Carlo seed")
     p_ana.add_argument("--observable", action="append", default=[], help="extra witness lz,lx,ly")
@@ -571,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex = sub.add_parser("exact", help="characterize an exact state")
     p_ex.add_argument("--state", required=True, help="state spec")
     p_ex.add_argument("--target", default="", help="state spec for the similarity comparison")
-    p_ex.add_argument("--fields", "--field", default="real,complex", help="comma list of number fields")
+    p_ex.add_argument("--fields", default="real,complex", help="comma list of number fields")
     p_ex.add_argument("--observable", action="append", default=[], help="extra witness lz,lx,ly")
     p_ex.add_argument("--out", required=True, help="report file to write")
     return parser

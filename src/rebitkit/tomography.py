@@ -9,12 +9,13 @@ occur with probabilities
 The counts of all nine settings are one (3, 3, 4) int64 array, and
 simulation, estimation and mixing are array math over it.  Linear
 inversion recovers the correlation matrix with binomial standard errors.
-Monte Carlo resamples correlation matrices entrywise normally and repairs
-the (N, 4, 4) stack of samples block by block: a closed-form positivity
-check passes most of them as they are, and a batched eigendecomposition
-clips the rest, in place when the check passes none of the block.  A
-caller may stack the estimate on its draws, so that one repair serves
-both, and spread any batched analysis over the repaired stack.
+Monte Carlo stacks the estimate on samples drawn around it entrywise
+normally and repairs the (N + 1, 4, 4) stack block by block: a
+closed-form positivity check passes most of them as they are, and a
+batched eigendecomposition clips the rest, in place when the check passes
+none of the block.  ``monte_carlo_propagate`` is the one route from an
+estimate to repaired states: row 0 serves a single-state analysis and
+rows 1 on any batched analysis spread over the samples.
 """
 
 from __future__ import annotations
@@ -225,38 +226,29 @@ def repair_to_physical(g: np.ndarray) -> np.ndarray:
     return g
 
 
-def _draw(e: EstimatedState, n_samples: int, seed: int) -> np.ndarray:
-    """``n_samples`` correlation matrices drawn around the estimate, not yet repaired.
+def monte_carlo_propagate(e: EstimatedState, n_samples: int, seed: int) -> np.ndarray:
+    """The repaired estimate on top of ``n_samples`` repaired samples of it: (n_samples + 1, 4, 4).
 
-    Entries are normal with the entrywise standard deviations, all from one
-    ``default_rng(seed)`` stream in sample order, and gamma[0, 0] is 1.  A
-    count whose stack exceeds numpy's array limits raises MemoryError.
+    Row 0 is the estimate.  Rows 1 on are correlation matrices with entries
+    normally distributed around it, all from one ``default_rng(seed)``
+    stream in sample order (so the first k samples of a pass equal a
+    k-sample pass), and gamma[0, 0] is 1.  One ``repair_to_physical`` call
+    repairs the whole stack, each row with the bits it has alone, so
+    ``n_samples = 0`` gives ``repair_to_physical(e.gamma)``.  A sample
+    count whose stack exceeds numpy's array limits raises MemoryError, as
+    one that exceeds the memory does.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
-    rng = np.random.default_rng(seed)
+    if n_samples < 0 or n_samples == 1:
+        raise ValueError(f"n_samples must be 0 or at least 2, got {n_samples}")
     try:
-        noise = rng.standard_normal((n_samples, 4, 4))
+        stack = np.empty((n_samples + 1, 4, 4))
     except ValueError:  # numpy rejects such a shape before it allocates anything
         raise MemoryError(f"{n_samples} samples exceed numpy's array limits") from None
-    noise *= e.sigma
-    noise += e.gamma  # in place: the bits of e.gamma + e.sigma * noise
-    noise[:, 0, 0] = 1.0
-    return noise
-
-
-def monte_carlo_propagate(e: EstimatedState, n_samples: int, seed: int) -> np.ndarray:
-    """An (n_samples, 4, 4) stack of repaired samples of the estimate.
-
-    Draws ``n_samples`` correlation matrices with entries normally
-    distributed around the estimate, all from one ``default_rng(seed)``
-    stream in sample order (so the first k samples of a pass equal a
-    k-sample pass), and repairs them with ``repair_to_physical`` (which
-    eigendecomposes only the samples its positivity check cannot pass
-    as they are, and zeroes their negative eigenvalues).  A sample count
-    whose stack exceeds numpy's array limits raises MemoryError, as one
-    that exceeds the memory does.  ``cli.run_analysis`` repairs the same
-    draws with the estimate stacked on top, in one call, and each row
-    keeps the bits it has here.
-    """
-    return repair_to_physical(_draw(e, n_samples, seed))
+    stack[0] = e.gamma
+    if n_samples:  # without samples no generator is built: exact reports skip its set-up
+        draws = stack[1:]
+        np.random.default_rng(seed).standard_normal(out=draws)
+        draws *= e.sigma
+        draws += e.gamma  # in place: the bits of e.gamma + e.sigma * noise
+        draws[:, 0, 0] = 1.0
+    return repair_to_physical(stack)

@@ -169,14 +169,15 @@ def test_analyze_fields_filter(tmp_path):
     cli.main(["simulate", "--state", "cfr:q=1,v=0.9", "--events", "20000",
               "--seed", "2", "--out", str(counts)])
     out = tmp_path / "r.json"
-    rc = cli.main(
-        ["analyze", "--counts", str(counts), "--fields", "complex",
-         "--mc-samples", "50", "--seed", "1", "--out", str(out)]
-    )
-    assert rc == 0
-    doc = cli.read_report(str(out))
-    assert "real" not in doc["decompositions"]
-    assert "complex" in doc["decompositions"]
+    for flag in ("--fields", "--field"):  # argparse takes the prefix of --fields
+        rc = cli.main(
+            ["analyze", "--counts", str(counts), flag, "complex",
+             "--mc-samples", "50", "--seed", "1", "--out", str(out)]
+        )
+        assert rc == 0
+        doc = cli.read_report(str(out))
+        assert "real" not in doc["decompositions"]
+        assert "complex" in doc["decompositions"]
 
 
 @pytest.mark.parametrize("fields, name", [
@@ -466,15 +467,15 @@ def test_analyze_mc_samples_beyond_memory_exit_2(tmp_path, capsys, monkeypatch):
               "--seed", "2", "--out", str(counts)])
     capsys.readouterr()
 
-    class OutOfMemory:
-        def __init__(self, seed):
-            pass
+    empty = np.empty
 
-        def standard_normal(self, size):
-            raise MemoryError(f"Unable to allocate an array with shape {size}")
+    def limited_empty(shape, *args, **kwargs):
+        if np.prod(shape, dtype=float) > 1e8:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return empty(shape, *args, **kwargs)
 
-    # the draw fails as a real one of 10**8 samples does under a memory limit
-    monkeypatch.setattr(np.random, "default_rng", OutOfMemory)
+    # the stack fails as a real one of 10**8 samples does under a memory limit
+    monkeypatch.setattr(np, "empty", limited_empty)
     out = tmp_path / "r.json"
     assert cli.main(["analyze", "--counts", str(counts), "--mc-samples", "100000000",
                      "--seed", "1", "--out", str(out)]) == 2
@@ -1048,13 +1049,16 @@ def test_stacked_repair_equals_two_step_reference(monkeypatch, spec, events, see
     est = tm.estimate_correlations(tm.simulate_counts(cli.parse_state_spec(spec), events, seed))
     target = cli.parse_state_spec("cfr:q=1")
 
-    def two_step(g):
-        """The repair as two calls: the estimate alone, then Monte Carlo's own pass."""
-        if g.ndim == 2:
-            return tm.repair_to_physical(g)
-        assert g[0].tobytes() == est.gamma.tobytes() and len(g) == mc_samples + 1
-        return np.concatenate([tm.repair_to_physical(est.gamma)[None],
-                               tm.monte_carlo_propagate(est, mc_samples, 5)])
+    def two_step(e, n_samples, seed):
+        """The repair as two calls: the estimate alone, then default_rng(seed)'s draws."""
+        assert e is est and (n_samples, seed) == (mc_samples, 5)
+        rows = [tm.repair_to_physical(e.gamma)[None]]
+        if n_samples:
+            noise = np.random.default_rng(seed).standard_normal((n_samples, 4, 4))
+            draws = e.gamma + e.sigma * noise
+            draws[:, 0, 0] = 1.0
+            rows.append(tm.repair_to_physical(draws))
+        return np.concatenate(rows)
 
     def analysis():
         """The document and the bytes of every state the decompositions and columns read."""
@@ -1076,8 +1080,33 @@ def test_stacked_repair_equals_two_step_reference(monkeypatch, spec, events, see
         return doc, seen
 
     doc, seen = analysis()
-    monkeypatch.setattr(cli, "repair_to_physical", two_step)
+    monkeypatch.setattr(cli, "monte_carlo_propagate", two_step)
     want_doc, want_seen = analysis()
     assert json.dumps(doc) == json.dumps(want_doc)
     assert seen == want_seen and len(seen) == 2 + 2 * (mc_samples > 0)
     assert doc["provenance"]["estimate_repaired"] is repaired
+
+
+@pytest.mark.parametrize("command", ["exact", "analyze", "analyze-no-mc"])
+def test_one_monte_carlo_call_and_one_repair_per_report(tmp_path, monkeypatch, command):
+    counts = tmp_path / "c.txt"
+    cli.main(["simulate", "--state", "mix:RR=0.495,LL=0.495,mixed=0.01", "--events", "300",
+              "--seed", "3", "--out", str(counts)])
+    argv = {
+        "exact": ["exact", "--state", "bell:phi+"],
+        "analyze": ["analyze", "--counts", str(counts), "--mc-samples", "300"],
+        "analyze-no-mc": ["analyze", "--counts", str(counts), "--mc-samples", "0"],
+    }[command]
+    calls = []
+    propagate, repair = tm.monte_carlo_propagate, tm.repair_to_physical
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "monte_carlo_propagate", counted("propagate", propagate))
+    monkeypatch.setattr(tm, "repair_to_physical", counted("repair", repair))
+    assert cli.main([*argv, "--out", str(tmp_path / "r.json")]) == 0
+    assert calls == ["propagate", "repair"]

@@ -602,3 +602,45 @@ def test_lean_kernels_bit_equal_to_references(field, monkeypatch):
     assert decomposed >= 540
     assert min(compared.values()) == compared["pstd"] == decomposed
     assert compared["svd"] == decomposed + 4
+
+
+def _local_rotation(rng, field):
+    """A random proper rotation of one party's Bloch axes, acting on the 4-vector (1, z, x, y).
+
+    The field's local group: SO(3) on (z, x, y) for qubits, rotations of
+    the (z, x) plane for rebits.
+    """
+    r = np.eye(4)
+    if field is NF.COMPLEX:
+        q, upper = np.linalg.qr(rng.normal(size=(3, 3)))
+        q *= np.sign(np.diag(upper))
+        r[1:, 1:] = q * np.linalg.det(q)  # det(-q) = -det(q) for 3x3, so this has det 1
+    else:
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        r[1:3, 1:3] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+    return r
+
+
+def _invariants(g, field):
+    d, _ = qp.decompose(g, field)
+    return (qp.separability_certificate(d), d.distance, d.residual_coeff,
+            *(float(x) for x in qp.expansion_error(g, field)))
+
+
+@pytest.mark.parametrize("field", list(NF))
+def test_verdict_and_distances_invariant_under_swap_and_local_rotations(field):
+    # separability and Hilbert-Schmidt distances are invariant under the field's local
+    # rotations and under a swap of the parties
+    certified = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        g = random_full_rank_gamma(rng)
+        ra, rb = _local_rotation(rng, field), _local_rotation(rng, field)
+        want = _invariants(g, field)
+        certified += want[0]
+        for moved in (g.T, ra @ g @ rb.T):
+            got = _invariants(moved, field)
+            assert got[0] is want[0], seed
+            np.testing.assert_allclose(got[1:], want[1:], rtol=0.0, atol=1e-12, err_msg=str(seed))
+    # random states with y entries are rebit-entangled; some qubit states are separable
+    assert certified == 0 if field is NF.REAL else 0 < certified < 200

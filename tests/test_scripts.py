@@ -120,12 +120,37 @@ def test_cfr_scan_rejected_point_names_its_q(tmp_path, capsys):
      "error: --mc-samples must be 0 (none) or at least 2, got 1"),
     (["--events", "2000", "--seed", "-1"], "error: --seed must be a non-negative integer, got -1"),
     (["--mc-samples", "20"], "error: --mc-samples and --seed need --events"),
+    (["--steps", "-1"], "error: --steps must be a non-negative integer, got -1"),
+    # numpy refuses these grids before it allocates anything
+    (["--steps", "9223372036854775807"],
+     "error: --steps 9223372036854775807 needs more memory than is available"),
+    (["--steps", "100000000000000000000"],
+     "error: --steps 100000000000000000000 needs more memory than is available"),
 ])
 def test_cfr_scan_rejects_bad_sampling_options(capsys, args, message):
     with pytest.raises(SystemExit) as exc:
         load_script("cfr_scan").main(["--steps", "3", *args])
     assert exc.value.code == 2
     assert capsys.readouterr() == ("", message + "\n")
+
+
+def test_cfr_scan_names_steps_when_the_grid_exceeds_memory(capsys, monkeypatch):
+    def out_of_memory(start, stop, num):
+        raise MemoryError(f"Unable to allocate an array with shape ({num},)")
+
+    # the grid fails as a real one of 10**11 points does under a memory limit
+    monkeypatch.setattr(np, "linspace", out_of_memory)
+    with pytest.raises(SystemExit) as exc:
+        load_script("cfr_scan").main(["--steps", "100000000000"])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == (
+        "", "error: --steps 100000000000 needs more memory than is available\n")
+
+
+def test_cfr_scan_zero_steps_prints_the_header_alone(capsys):
+    load_script("cfr_scan").main(["--steps", "0"])
+    assert capsys.readouterr() == (
+        "q,witness,real_distance,residual,complex_distance,real_sep,complex_sep\n", "")
 
 
 def test_bench_writes_end_to_end_medians(tmp_path, capsys):

@@ -291,8 +291,8 @@ def test_repair_clips_and_bounds_yy():
 
 
 def _mc_stats(est, n_samples, seed, analysis):
-    """Mean and sample standard deviation of a batched analysis of the Monte-Carlo stack."""
-    outputs = analysis(tm.monte_carlo_propagate(est, n_samples, seed))
+    """Mean and sample standard deviation of a batched analysis of the Monte-Carlo samples."""
+    outputs = analysis(tm.monte_carlo_propagate(est, n_samples, seed)[1:])
     return outputs.mean(axis=0), outputs.std(axis=0, ddof=1)
 
 
@@ -333,8 +333,18 @@ def test_monte_carlo_shrinks_with_events():
 
 def test_monte_carlo_requires_two_samples():
     est = tm.EstimatedState(gamma=pc.cfr_state(0.5), sigma=np.zeros((4, 4)))
-    with pytest.raises(ValueError):
-        tm.monte_carlo_propagate(est, 1, 0)
+    for n_samples in (1, -1, -2):
+        with pytest.raises(ValueError, match=f"n_samples must be 0 or at least 2, got {n_samples}"):
+            tm.monte_carlo_propagate(est, n_samples, 0)
+
+
+@pytest.mark.parametrize("gamma", [pc.cfr_state(0.5), np.eye(4), np.diag([1.0, 0, 0, 1.04])])
+def test_monte_carlo_without_samples_is_the_repaired_estimate(gamma):
+    sigma = np.full((4, 4), 0.01)
+    sigma[0, 0] = 0.0
+    stack = tm.monte_carlo_propagate(tm.EstimatedState(gamma=gamma, sigma=sigma), 0, 3)
+    assert stack.shape == (1, 4, 4)
+    assert stack[0].tobytes() == tm.repair_to_physical(gamma).tobytes()
 
 
 def test_monte_carlo_samples_stay_physical():
@@ -342,7 +352,7 @@ def test_monte_carlo_samples_stay_physical():
     sigma[0, 0] = 0.0
     est = tm.EstimatedState(gamma=pc.cfr_state(1.0), sigma=sigma)
     g = tm.monte_carlo_propagate(est, 300, 11)
-    assert g.shape == (300, 4, 4)
+    assert g.shape == (301, 4, 4)
     assert all(pc.is_physical(x, 1e-9) for x in g)
     assert np.abs(g[:, 3, 3]).max() <= 1.0 + 1e-12
 
@@ -360,12 +370,13 @@ def test_monte_carlo_stream_is_one_generator():
         sample[0, 0] = 1.0
         reference.append(tm.repair_to_physical(sample))
         repaired += not np.array_equal(reference[-1], sample)
-    np.testing.assert_array_equal(full, np.stack(reference))
+    assert full[0].tobytes() == tm.repair_to_physical(est.gamma).tobytes()
+    np.testing.assert_array_equal(full[1:], np.stack(reference))
     assert 0 < repaired < n  # both branches of the repair ran
 
     # the first k samples of an n-sample pass are the k-sample pass
-    for count in (2, 7):
-        np.testing.assert_array_equal(tm.monte_carlo_propagate(est, count, 17), full[:count])
+    for count in (0, 2, 7):
+        np.testing.assert_array_equal(tm.monte_carlo_propagate(est, count, 17), full[:count + 1])
 
 
 def test_repair_stack_matches_single_calls():
@@ -478,7 +489,7 @@ def test_positivity_check_is_sound_and_repair_unchanged(name, certified_count):
 def test_monte_carlo_unchanged_by_positivity_check(monkeypatch, g_true, events, repaired):
     est = tm.estimate_correlations(tm.simulate_counts(g_true, events, seed=4))
     checked = tm.monte_carlo_propagate(est, 10_000, 4)
-    changed = checked != _samples(g_true, events, 10_000, seed=4)
+    changed = checked[1:] != _samples(g_true, events, 10_000, seed=4)
     assert changed.any(axis=(1, 2)).sum() == repaired
     repaired_stacks = []
 
@@ -488,7 +499,7 @@ def test_monte_carlo_unchanged_by_positivity_check(monkeypatch, g_true, events, 
 
     monkeypatch.setattr(tm, "repair_to_physical", repair_every_matrix)
     reference = tm.monte_carlo_propagate(est, 10_000, 4)
-    assert repaired_stacks == [10_000]
+    assert repaired_stacks == [10_001]
     assert checked.tobytes() == reference.tobytes()
 
 
@@ -519,8 +530,11 @@ def test_repair_of_a_stack_keeps_its_diagnostics():
 
 def test_monte_carlo_repairs_the_raw_draws():
     est = tm.estimate_correlations(tm.simulate_counts(pc.cfr_state(1.0), 300, seed=2))
-    draws = tm._draw(est, 300, 8)
-    reference = est.gamma + est.sigma * np.random.default_rng(8).standard_normal((300, 4, 4))
-    reference[:, 0, 0] = 1.0
-    assert draws.tobytes() == reference.tobytes()
-    assert tm.monte_carlo_propagate(est, 300, 8).tobytes() == tm.repair_to_physical(draws).tobytes()
+    draws = est.gamma + est.sigma * np.random.default_rng(8).standard_normal((300, 4, 4))
+    draws[:, 0, 0] = 1.0
+    stack = tm.monte_carlo_propagate(est, 300, 8)
+    reference = tm.repair_to_physical(np.concatenate([est.gamma[None], draws]))
+    assert stack.tobytes() == reference.tobytes()
+    # each row keeps the bits it has when repaired apart from the others
+    assert stack[0].tobytes() == tm.repair_to_physical(est.gamma).tobytes()
+    assert stack[1:].tobytes() == tm.repair_to_physical(draws).tobytes()
