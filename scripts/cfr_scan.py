@@ -25,7 +25,7 @@ import numpy as np
 
 from rebitkit import EstimatedState, NumberField
 from rebitkit.cli import parse_state_spec, run_analysis
-from rebitkit.tomography import DEFAULT_MC_SAMPLES, MAX_EVENTS, estimate_correlations, simulate_counts
+from rebitkit.tomography import DEFAULT_MC_SAMPLES, check_events, estimate_correlations, simulate_counts
 
 HEADER = "q,witness,real_distance,residual,complex_distance,real_sep,complex_sep"
 SIGMA_HEADER = ",witness_sigma,similarity,similarity_sigma,real_distance_sigma,residual_sigma"
@@ -54,11 +54,14 @@ def main(argv=None):
 
     events, seed = args.events, args.seed or 0
     mc_samples = DEFAULT_MC_SAMPLES if args.mc_samples is None else args.mc_samples
+    if events is not None:
+        try:
+            check_events(events, "--events")  # the check and diagnostic of simulate --events
+        except ValueError as exc:
+            parser.exit(2, f"error: {exc}\n")
     for bad, message in (
         (events is None and (args.mc_samples, args.seed) != (None, None),
          "--mc-samples and --seed need --events"),
-        (events is not None and not 1 <= events <= MAX_EVENTS,
-         f"--events must lie in [1, 2**53], got {events}"),
         (mc_samples < 0 or mc_samples == 1,
          f"--mc-samples must be 0 (none) or at least 2, got {mc_samples}"),
         (seed < 0, f"--seed must be a non-negative integer, got {seed}"),

@@ -61,6 +61,7 @@ from .tomography import (
     MAX_EVENTS,
     CountsDataset,
     EstimatedState,
+    check_events,
     estimate_correlations,
     mix_datasets,
     monte_carlo_propagate,
@@ -454,7 +455,7 @@ def _gamma_comment(gamma: np.ndarray) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = args.state
-    events = args.events
+    events = check_events(args.events, "--events")
     seed = _seed(args.seed)
     kind, _, rest = spec.partition(":")
     if kind.strip().lower() == "mix":

@@ -10,12 +10,12 @@ The counts of all nine settings are one (3, 3, 4) int64 array, and
 simulation, estimation and mixing are array math over it.  Linear
 inversion recovers the correlation matrix with binomial standard errors.
 Monte Carlo stacks the estimate on samples drawn around it entrywise
-normally and repairs the (N + 1, 4, 4) stack block by block: a
-closed-form positivity check passes most of them as they are, and a
-batched eigendecomposition clips the rest, in place when the check passes
-none of the block.  ``monte_carlo_propagate`` is the one route from an
-estimate to repaired states: row 0 serves a single-state analysis and
-rows 1 on any batched analysis spread over the samples.
+normally and repairs the (N + 1, 4, 4) stack block by block, each block
+the same way: a closed-form positivity check passes most of them as they
+are, one batched eigendecomposition takes the rest, and those negative
+beyond round-off are clipped.  ``monte_carlo_propagate`` is the one route
+from an estimate to repaired states: row 0 serves a single-state analysis
+and rows 1 on any batched analysis spread over the samples.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ import numpy as np
 from .pauli_core import (
     _BLOCK,
     _CORRELATION_TERMS,
+    _DENSITY_TERMS,
     _pauli_sum,
     check_correlation,
-    density_from_correlation,
 )
 
 BASES = ("z", "x", "y")
@@ -105,6 +105,13 @@ def outcome_probabilities(g: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
+def check_events(n: int, name: str) -> int:
+    """``n``, checked to lie in [1, 2**53]; the ValueError names the count ``name``."""
+    if not 1 <= n <= MAX_EVENTS:
+        raise ValueError(f"{name} must lie in [1, 2**53], got {n}")
+    return n
+
+
 def simulate_counts(
     g_true: np.ndarray,
     events_per_setting: int = DEFAULT_EVENTS,
@@ -112,8 +119,7 @@ def simulate_counts(
 ) -> CountsDataset:
     """Multinomial coincidence counts for all nine settings; seed-reproducible."""
     g_true = check_correlation(g_true)
-    if not 1 <= events_per_setting <= MAX_EVENTS:
-        raise ValueError(f"events_per_setting must lie in [1, 2**53], got {events_per_setting}")
+    check_events(events_per_setting, "events_per_setting")
     rng = np.random.default_rng(seed)
     return CountsDataset(rng.multinomial(events_per_setting, outcome_probabilities(g_true)))
 
@@ -176,53 +182,35 @@ def _certified_positive(rho: np.ndarray) -> np.ndarray:
     return positive
 
 
-def _clip(g: np.ndarray, rho: np.ndarray) -> None:
-    """Zero the negative eigenvalues of each rho below round-off and write the repairs into g.
-
-    A rho whose smallest eigenvalue is at or above ``_ROUNDOFF_FLOOR`` is
-    left as it is, so a repaired matrix repairs to itself.
-    """
-    w, v = np.linalg.eigh(rho)
-    if w.min() < _ROUNDOFF_FLOOR:  # one scalar test; a mask's any() costs more on a lone matrix
-        bad = w[..., 0] < _ROUNDOFF_FLOOR  # eigh sorts each spectrum ascending
-        if bad.all():  # every spectrum is clipped: no gather, and w is clipped in place
-            bad = ...
-            np.clip(w, 0.0, None, out=w)
-        else:
-            w, v = np.clip(w[bad], 0.0, None), v[bad]
-        w /= w.sum(axis=-1, keepdims=True)
-        # Hermitian, finite and of unit trace by construction: correlation_from_density's
-        # checks would pass every rebuilt matrix, so the transform runs without them
-        rebuilt = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
-        g[bad] = _pauli_sum(rebuilt, _CORRELATION_TERMS).real
-
-
 def repair_to_physical(g: np.ndarray) -> np.ndarray:
     """Closest-under-clipping physical state: negative eigenvalues zeroed.
 
     Repairs each matrix of a (..., 4, 4) stack on its own; identity on
     already-physical input, and on a matrix whose smallest eigenvalue is
     negative only by round-off (``_ROUNDOFF_FLOOR``), so repairing twice
-    gives the bits of repairing once.  A stack goes in blocks of matrices,
-    so the temporaries stay small beside it.  In each block, a matrix that a
-    closed-form elimination certifies positive is returned as it is, and
-    only the others are eigendecomposed, in one batched ``eigh``.
+    gives the bits of repairing once.  The stack is checked once and goes
+    in blocks of matrices, so the temporaries stay small beside it.  In
+    every block, the matrices a closed-form elimination does not certify
+    positive go through one batched ``eigh``, and only those with an
+    eigenvalue below the floor are clipped, rebuilt and written back.
     """
     g = np.array(g, dtype=float)
-    if g.size == 16:  # on a lone matrix one eigh costs less than the check
-        _clip(g, density_from_correlation(g))
-        return g
     stack = check_correlation(g).reshape(-1, 4, 4)
     for a in range(0, len(stack), _BLOCK):
         block = stack[a : a + _BLOCK]
-        rho = density_from_correlation(block)
-        uncertain = ~_certified_positive(rho)
-        if uncertain.all():  # edge data: no gather and scatter
-            _clip(block, rho)
-        elif uncertain.any():
-            part = block[uncertain]
-            _clip(part, rho[uncertain])
-            block[uncertain] = part
+        # checked with the stack: the transform runs without density_from_correlation's checks
+        rho = _pauli_sum(block, _DENSITY_TERMS)
+        rho /= 4.0
+        # a lone matrix takes its only row: one eigh costs less than the check there
+        rows = np.flatnonzero([True] if len(block) == 1 else ~_certified_positive(rho))
+        w, v = np.linalg.eigh(rho[rows])
+        clipped = w[:, 0] < _ROUNDOFF_FLOOR  # eigh sorts each spectrum ascending
+        w, v = np.clip(w[clipped], 0.0, None), v[clipped]
+        w /= w.sum(axis=-1, keepdims=True)
+        # Hermitian, finite and of unit trace by construction: correlation_from_density's
+        # checks would pass every rebuilt matrix, so the transform runs without them
+        rebuilt = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        block[rows[clipped]] = _pauli_sum(rebuilt, _CORRELATION_TERMS).real
     return g
 
 

@@ -180,14 +180,24 @@ def test_analyze_fields_filter(tmp_path):
         assert "complex" in doc["decompositions"]
 
 
-@pytest.mark.parametrize("fields, name", [
-    ("real,real", "real"), ("complex, COMPLEX", "complex"), ("real,complex,real", "real"),
+@pytest.mark.parametrize("fields, message", [
+    *(pytest.param(fields, f"duplicate field {name!r}", id=f"{fields}-{name}") for fields, name in
+      [("real,real", "real"), ("complex, COMPLEX", "complex"), ("real,complex,real", "real")]),
+    ("real,quaternion", "unknown field 'quaternion'; use real and/or complex"),
+    (",", "no fields requested"),
 ])
-def test_fields_named_twice_exit_2(tmp_path, capsys, fields, name):
+def test_fields_named_twice_exit_2(tmp_path, capsys, fields, message):
     out = tmp_path / "r.json"
     assert cli.main(["exact", "--state", "cfr:q=1", "--fields", fields, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: duplicate field {name!r}")
+    assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not out.exists()
+
+
+def test_fields_skip_empty_entries(tmp_path):
+    out = tmp_path / "r.json"
+    assert cli.main(["exact", "--state", "cfr:q=1", "--fields", "real,,complex",
+                     "--out", str(out)]) == 0
+    assert list(cli.read_report(str(out))["decompositions"]) == ["real", "complex"]
 
 
 def _clipped_bell_samples() -> np.ndarray:
@@ -265,6 +275,8 @@ def test_analyze_missing_file_exit_code(tmp_path, capsys):
         ("mix:RR=0,RR=1", "duplicate parameter 'RR'"),
         ("mix:RR=nan", "must be finite"),
         ("mix:RR=inf,LL=1", "must be finite"),
+        ("mix:XY=1", "unknown mix component 'XY' in 'mix:XY=1'"),
+        ("mix:RR=0", "mix spec 'mix:RR=0' has no positive weight"),
     ],
 )
 def test_exact_rejects_bad_spec(tmp_path, capsys, spec, message):
@@ -591,13 +603,16 @@ def test_monte_carlo_sigmas_bit_equal_to_callback_reference(monkeypatch, n_sampl
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("observable", ["nan,0,1", "1,inf,0", "1,0,-inf"])
-def test_observable_rejects_non_finite(tmp_path, capsys, observable):
+@pytest.mark.parametrize("observable, message", [
+    *(pytest.param(o, f"in {o!r} must be finite", id=o) for o in ["nan,0,1", "1,inf,0", "1,0,-inf"]),
+    pytest.param("1,2", "observable needs three coefficients lz,lx,ly, got '1,2'", id="1,2"),
+])
+def test_observable_rejects_non_finite(tmp_path, capsys, observable, message):
     out = tmp_path / "r.json"
     rc = cli.main(["exact", "--state", "cfr:q=1", "--observable", observable, "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"in {observable!r} must be finite" in err
+    assert err.startswith("error: ") and message in err
     assert not out.exists()
 
 
@@ -886,10 +901,11 @@ def test_summary_lines_pinned(tmp_path, capsys):
 
 def test_simulate_rejects_event_counts_beyond_float_precision(tmp_path, capsys):
     out = tmp_path / "c.txt"
-    assert cli.main(["simulate", "--state", "cfr:q=1", "--events", str(10**23),
-                     "--out", str(out)]) == 2
-    assert "events_per_setting must lie in [1, 2**53]" in capsys.readouterr().err
-    assert not out.exists()
+    for events in (10**23, 0, -1):  # the diagnostic names the flag, not the library parameter
+        assert cli.main(["simulate", "--state", "cfr:q=1", "--events", str(events),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --events must lie in [1, 2**53], got {events}\n"
+        assert not out.exists()
 
 
 _HOSTILE_NAME = 'g", "], ["q\\"\\ é ψ\t.txt'

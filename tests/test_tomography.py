@@ -521,6 +521,17 @@ def test_repair_temporaries_stay_small(g_true, events):
 def test_repair_of_a_stack_keeps_its_diagnostics():
     with pytest.raises(ValueError, match=r"must be 4x4, got \(8, 4\)"):
         tm.repair_to_physical(np.eye(8, 4))
+    # a lone matrix is checked as a stack is
+    lone = pc.cfr_state(0.5)
+    lone[1, 2] = np.nan
+    with pytest.raises(ValueError, match=r"non-finite entry: gamma\[1,2\] = nan"):
+        tm.repair_to_physical(lone)
+    lone = pc.cfr_state(0.5)
+    lone[0, 0] = 0.5
+    with pytest.raises(ValueError, match=r"not normalized: gamma\[0,0\] = 0.5"):
+        tm.repair_to_physical(lone)
+    with pytest.raises(ValueError, match=r"must be 4x4, got \(4, 3\)"):
+        tm.repair_to_physical(np.zeros((4, 3)))
     stack = np.tile(pc.cfr_state(0.5), (300, 1, 1))
     stack[-1, 0, 0] = 0.5  # in the second block
     with pytest.raises(ValueError, match=r"not normalized: gamma\[0,0\] = 0.5"):
