@@ -20,12 +20,20 @@ Usage: python scripts/cfr_scan.py [--steps N] [--visibility V]
 """
 
 import argparse
+import os
+import sys
 
 import numpy as np
 
 from rebitkit import EstimatedState, NumberField
 from rebitkit.cli import parse_state_spec, run_analysis
-from rebitkit.tomography import DEFAULT_MC_SAMPLES, check_events, estimate_correlations, simulate_counts
+from rebitkit.tomography import (
+    DEFAULT_MC_SAMPLES,
+    check_events,
+    check_mc_samples,
+    estimate_correlations,
+    simulate_counts,
+)
 
 HEADER = "q,witness,real_distance,residual,complex_distance,real_sep,complex_sep"
 SIGMA_HEADER = ",witness_sigma,similarity,similarity_sigma,real_distance_sigma,residual_sigma"
@@ -54,20 +62,17 @@ def main(argv=None):
 
     events, seed = args.events, args.seed or 0
     mc_samples = DEFAULT_MC_SAMPLES if args.mc_samples is None else args.mc_samples
-    if events is not None:
-        try:
-            check_events(events, "--events")  # the check and diagnostic of simulate --events
-        except ValueError as exc:
-            parser.exit(2, f"error: {exc}\n")
-    for bad, message in (
-        (events is None and (args.mc_samples, args.seed) != (None, None),
-         "--mc-samples and --seed need --events"),
-        (mc_samples < 0 or mc_samples == 1,
-         f"--mc-samples must be 0 (none) or at least 2, got {mc_samples}"),
-        (seed < 0, f"--seed must be a non-negative integer, got {seed}"),
-    ):
-        if bad:
-            parser.exit(2, f"error: {message}\n")
+    if events is None and (args.mc_samples, args.seed) != (None, None):
+        parser.exit(2, "error: --mc-samples and --seed need --events\n")
+    try:
+        # the checks and diagnostics of simulate --events and analyze --mc-samples
+        if events is not None:
+            check_events(events, "--events")
+        check_mc_samples(mc_samples, "--mc-samples")
+    except ValueError as exc:
+        parser.exit(2, f"error: {exc}\n")
+    if seed < 0:
+        parser.exit(2, f"error: --seed must be a non-negative integer, got {seed}\n")
 
     print(HEADER if events is None else HEADER + SIGMA_HEADER)
     fields = [NumberField.REAL, NumberField.COMPLEX]
@@ -98,4 +103,11 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()  # the last rows may still sit in the buffer
+    except BrokenPipeError:
+        # the reader has gone, as head does after its lines: with stdout on the null
+        # device the flush at exit cannot fail again, and the scan ends without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

@@ -62,6 +62,7 @@ from .tomography import (
     CountsDataset,
     EstimatedState,
     check_events,
+    check_mc_samples,
     estimate_correlations,
     mix_datasets,
     monte_carlo_propagate,
@@ -216,8 +217,16 @@ def _read_lines(path: str, kind: str) -> list[str]:
 
 
 def write_counts(path: str, dataset: CountsDataset, meta: dict[str, str] | None = None) -> None:
+    """Write ``dataset`` as a counts file, each ``meta`` item on a comment line of its own.
+
+    A value holding a line break would end its comment early, and
+    ``read_counts`` would refuse the rest as a record: it raises
+    ValueError, naming its key, before the file is opened.
+    """
     lines = ["# rebitkit counts v1"]
     for key, value in (meta or {}).items():
+        if "\n" in value or "\r" in value:
+            raise ValueError(f"counts file metadata {key!r} holds a line break: {value!r}")
         lines.append(f"# {key}: {value}")
     lines.append("# alice_basis bob_basis n_pp n_pm n_mp n_mm")
     for (a, b), row in zip(product(BASES, BASES), dataset.counts.reshape(9, 4).tolist()):
@@ -506,9 +515,7 @@ def _report_summary(doc: dict) -> str:
 def cmd_characterize(args: argparse.Namespace) -> int:
     """``analyze`` a counts file or run ``exact`` on a state spec."""
     if args.command == "analyze":
-        mc_samples = args.mc_samples
-        if mc_samples < 0 or mc_samples == 1:
-            raise ValueError(f"--mc-samples must be 0 (none) or at least 2, got {mc_samples}")
+        mc_samples = check_mc_samples(args.mc_samples, "--mc-samples")
         estimated = estimate_correlations(read_counts(args.counts))
         source = {"counts_path": args.counts}
         mc_seed = _seed(args.seed)

@@ -62,13 +62,11 @@ def _pauli_sum(x: np.ndarray, terms: tuple[np.ndarray, np.ndarray]) -> np.ndarra
 
     Adds each entry's terms in ascending row order and rounds as a
     sequential accumulator started at +0 does, the same in a lone matrix
-    as in a stack of any size.  A stack of more than ``_BLOCK`` matrices
-    goes block by block, so the gathered terms stay small beside it.
+    as in a stack of any size.  The stack goes in blocks of up to
+    ``_BLOCK`` matrices, so the gathered terms stay small beside it.
     """
     flat = x.reshape(-1, 16)
-    if len(flat) <= _BLOCK:
-        return _pauli_block(flat, terms).T.reshape(x.shape)
-    s = np.empty((16, len(flat)), complex)  # laid out as one pass lays out its sums
+    s = np.empty((16, len(flat)), complex)  # entry first, as _pauli_block lays out its sums
     for a in range(0, len(flat), _BLOCK):
         s[:, a : a + _BLOCK] = _pauli_block(flat[a : a + _BLOCK], terms)
     return s.T.reshape(x.shape)

@@ -10,9 +10,9 @@ The counts of all nine settings are one (3, 3, 4) int64 array, and
 simulation, estimation and mixing are array math over it.  Linear
 inversion recovers the correlation matrix with binomial standard errors.
 Monte Carlo stacks the estimate on samples drawn around it entrywise
-normally and repairs the (N + 1, 4, 4) stack block by block, each block
-the same way: a closed-form positivity check passes most of them as they
-are, one batched eigendecomposition takes the rest, and those negative
+normally and repairs the (N + 1, 4, 4) stack block by block, a lone
+matrix as one block: a closed-form positivity check passes most rows as
+they are, one batched eigendecomposition takes the rest, and those negative
 beyond round-off are clipped.  ``monte_carlo_propagate`` is the one route
 from an estimate to repaired states: row 0 serves a single-state analysis
 and rows 1 on any batched analysis spread over the samples.
@@ -112,6 +112,13 @@ def check_events(n: int, name: str) -> int:
     return n
 
 
+def check_mc_samples(n: int, name: str) -> int:
+    """``n``, checked to be 0 (no samples) or at least 2; the ValueError names it ``name``."""
+    if n < 0 or n == 1:
+        raise ValueError(f"{name} must be 0 (none) or at least 2, got {n}")
+    return n
+
+
 def simulate_counts(
     g_true: np.ndarray,
     events_per_setting: int = DEFAULT_EVENTS,
@@ -189,10 +196,10 @@ def repair_to_physical(g: np.ndarray) -> np.ndarray:
     already-physical input, and on a matrix whose smallest eigenvalue is
     negative only by round-off (``_ROUNDOFF_FLOOR``), so repairing twice
     gives the bits of repairing once.  The stack is checked once and goes
-    in blocks of matrices, so the temporaries stay small beside it.  In
-    every block, the matrices a closed-form elimination does not certify
-    positive go through one batched ``eigh``, and only those with an
-    eigenvalue below the floor are clipped, rebuilt and written back.
+    in blocks, a lone matrix one, so the temporaries stay small beside it.
+    In every block, the matrices a closed-form elimination does not certify
+    go through one batched ``eigh``, and only those with an eigenvalue below
+    the floor are clipped, rebuilt and written back; a block with none is done.
     """
     g = np.array(g, dtype=float)
     stack = check_correlation(g).reshape(-1, 4, 4)
@@ -201,8 +208,9 @@ def repair_to_physical(g: np.ndarray) -> np.ndarray:
         # checked with the stack: the transform runs without density_from_correlation's checks
         rho = _pauli_sum(block, _DENSITY_TERMS)
         rho /= 4.0
-        # a lone matrix takes its only row: one eigh costs less than the check there
-        rows = np.flatnonzero([True] if len(block) == 1 else ~_certified_positive(rho))
+        rows = np.flatnonzero(~_certified_positive(rho))
+        if not len(rows):
+            continue
         w, v = np.linalg.eigh(rho[rows])
         clipped = w[:, 0] < _ROUNDOFF_FLOOR  # eigh sorts each spectrum ascending
         w, v = np.clip(w[clipped], 0.0, None), v[clipped]
@@ -226,8 +234,7 @@ def monte_carlo_propagate(e: EstimatedState, n_samples: int, seed: int) -> np.nd
     count whose stack exceeds numpy's array limits raises MemoryError, as
     one that exceeds the memory does.
     """
-    if n_samples < 0 or n_samples == 1:
-        raise ValueError(f"n_samples must be 0 or at least 2, got {n_samples}")
+    check_mc_samples(n_samples, "n_samples")
     try:
         stack = np.empty((n_samples + 1, 4, 4))
     except ValueError:  # numpy rejects such a shape before it allocates anything

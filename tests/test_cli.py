@@ -908,6 +908,22 @@ def test_simulate_rejects_event_counts_beyond_float_precision(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("spec", ["cfr:q=1,\nv=0.9", "cfr:q=1,\rv=0.9", "mix:RR=0.5,\r\nLL=0.5"])
+def test_simulate_refuses_a_line_break_in_its_spec(tmp_path, capsys, spec):
+    # the spec would end its "# state:" comment early, and analyze would refuse the file
+    out = tmp_path / "c.txt"
+    assert cli.main(["simulate", "--state", spec, "--events", "100", "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: counts file metadata 'state' holds a line break: {spec!r}\n")
+    assert not out.exists()
+    # refused before the file is opened: one already there keeps its bytes
+    out.write_text("old\n")
+    dataset = tm.simulate_counts(pc.cfr_state(1.0), 100)
+    with pytest.raises(ValueError, match="'state' holds a line break"):
+        cli.write_counts(str(out), dataset, {"seed": "0", "state": spec})
+    assert out.read_text() == "old\n"
+
+
 _HOSTILE_NAME = 'g", "], ["q\\"\\ é ψ\t.txt'
 
 
@@ -1025,6 +1041,31 @@ def test_fuzz_analyze_counts_files(tmp_path, capsys, text):
     rc = cli.main(["analyze", "--counts", str(counts), "--mc-samples", "20", "--seed", "1",
                    "--out", str(out)])
     _assert_clean_exit(rc, capsys)
+
+
+# pieces of cfr: and mix: bodies, line breaks among them
+_SIMULATE_BODIES = st.lists(
+    st.sampled_from(["q=1", "q=0.3", "v=0.9", "RR=0.5", "LL=0.5", "mixed=0.1", ",", "=",
+                     " ", "\t", "\n", "\r", "\r\n", "\x0c", "\u2028", "#"]),
+    max_size=8,
+).map("".join) | st.text(max_size=16)
+
+
+@settings(_FUZZ, max_examples=80)
+@given(kind=st.sampled_from(["cfr", "mix"]), body=_SIMULATE_BODIES)
+@example(kind="cfr", body="q=1,\nv=0.9")
+@example(kind="mix", body="RR=0.5,\u2028LL=0.5")
+def test_fuzz_simulate_writes_counts_it_reads_back(tmp_path, capsys, kind, body):
+    out = tmp_path / "c.txt"
+    out.unlink(missing_ok=True)
+    spec = f"{kind}:{body}"
+    rc = cli.main(["simulate", "--state", spec, "--events", "100", "--out", str(out)])
+    _assert_clean_exit(rc, capsys)
+    if rc == 2:
+        assert not out.exists()
+    else:
+        assert f"# state: {spec}\n" in out.read_text(encoding="utf-8")
+        assert cli.read_counts(str(out)).counts.shape == (3, 3, 4)
 
 
 def test_exact_real_certificate_false_for_complex_product_mixture(tmp_path, capsys):

@@ -209,6 +209,8 @@ def test_stacked_checks_catch_one_bad_matrix():
         pc.density_from_correlation(gammas)
     with pytest.raises(ValueError, match="must be 4x4"):
         pc.density_from_correlation(np.eye(3))
+    with pytest.raises(ValueError, match=r"^density matrix must be 4x4, got \(4, 3\)$"):
+        pc.correlation_from_density(np.zeros((4, 3)))
     with pytest.raises(ValueError, match="vanishing state"):
         pc.similarity(np.stack([gammas[0], np.zeros((4, 4))]), gammas[0])
 

@@ -478,6 +478,16 @@ def map_with(row, col, value):
         (lambda: sf.apply_local_maps(
             pc.cfr_state(1.0), sf.LocalMapPair(np.eye(4), np.eye(3), NF.REAL)),
          "b_map must be 4x4, got shape (3, 3)"),
+        # H on Alice's side: a_map^-1 sends its Bloch vector (1, 1, 0, 0) to time part 0
+        (lambda: sf.apply_local_maps(
+            pc.product_correlation(pc.POLARIZATION_BLOCH["H"], np.eye(4)[0]),
+            sf.LocalMapPair(map_with(0, 1, 1.0), np.eye(4), NF.COMPLEX)),
+         "back-transformed state has vanishing normalization"),
+        # Alice's H and V pull back with time parts 0.5 and 1.5: 0.75 * 0.5 - 0.25 * 1.5 = 0
+        (lambda: qp._transform(
+            np.array([[0.75, 0, 0, 0], [-0.25, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+            sf.LocalMapPair(map_with(0, 1, 0.5), np.eye(4), NF.REAL)),
+         "transformed weights sum to zero; cannot renormalize"),
     ],
 )
 def test_public_functions_keep_their_diagnostics(call, message):

@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +54,54 @@ def test_cfr_scan_prints_one_row_per_step(capsys):
     assert [float(row[2]) for row in rows] == pytest.approx([0.5, 0.0, 0.5], abs=1e-12)
     assert max(abs(float(row[4])) for row in rows) < 1e-12
     assert [row[5:] for row in rows] == [["False", "True"], ["True", "True"], ["False", "True"]]
+
+
+# the default scan, 21 points; at q = 0 and q = 1 the state has rank 2, so the
+# positivity check does not certify it and its repair takes eigh
+DEFAULT_SCAN = """\
+q,witness,real_distance,residual,complex_distance,real_sep,complex_sep
+0.000,-1,0.5,-0.25,0,False,True
+0.050,-0.9,0.45,-0.225,5.88784672e-17,False,True
+0.100,-0.8,0.4,-0.2,0,False,True
+0.150,-0.7,0.35,-0.175,1.22663473e-17,False,True
+0.200,-0.6,0.3,-0.15,5.63718406e-17,False,True
+0.250,-0.5,0.25,-0.125,1.11886302e-16,False,True
+0.300,-0.4,0.2,-0.1,2.81859203e-17,False,True
+0.350,-0.3,0.15,-0.075,4.90653893e-18,False,True
+0.400,-0.2,0.1,-0.05,5.7219585e-17,False,True
+0.450,-0.1,0.05,-0.025,0,False,True
+0.500,0,0,0,0,True,True
+0.550,0.1,0.05,0.025,1.38777878e-17,False,True
+0.600,0.2,0.1,0.05,0,False,True
+0.650,0.3,0.15,0.075,0,False,True
+0.700,0.4,0.2,0.1,0,False,True
+0.750,0.5,0.25,0.125,0,False,True
+0.800,0.6,0.3,0.15,0,False,True
+0.850,0.7,0.35,0.175,0,False,True
+0.900,0.8,0.4,0.2,0,False,True
+0.950,0.9,0.45,0.225,5.55111512e-17,False,True
+1.000,1,0.5,0.25,0,False,True
+"""
+
+
+def test_cfr_scan_default_output_pinned(capsys):
+    load_script("cfr_scan").main([])
+    assert capsys.readouterr() == (DEFAULT_SCAN, "")
+
+
+def test_cfr_scan_into_a_closed_pipe_exits_quietly():
+    # the reader closes the pipe after the header, as head -1 does; the scan's 235 kB
+    # exceed what the pipe holds, so a later write meets the closed end
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SCRIPTS.parent / "src"), os.environ.get("PYTHONPATH")]))}
+    scan = subprocess.Popen([sys.executable, str(SCRIPTS / "cfr_scan.py"), "--steps", "5001"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert scan.stdout.readline().startswith(b"q,witness,")
+    scan.stdout.close()
+    err = scan.stderr.read().decode()
+    scan.stderr.close()
+    assert scan.wait() == 1
+    assert err == ""  # no BrokenPipeError traceback
 
 
 @pytest.mark.parametrize("visibility", ["1.5", "-0.1", "nan"])

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from functools import reduce
 from operator import add
@@ -269,6 +270,17 @@ def test_mix_all_circulars_gives_mixed():
     assert np.abs(est.gamma - np.diag([1.0, 0, 0, 0])).max() < 0.02
 
 
+@pytest.mark.parametrize("weights, message", [
+    ([], "nothing to mix"),
+    ([0.5, -0.1], "weights must be nonnegative with positive sum"),
+    ([0.0, 0.0], "weights must be nonnegative with positive sum"),
+])
+def test_mix_rejects_bad_weights(weights, message):
+    data = tm.simulate_counts(pc.cfr_state(0.5), 1_000, seed=0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        tm.mix_datasets([(data, w) for w in weights])
+
+
 def test_mix_rejects_mismatched_settings():
     # a dataset that covers eight settings cannot be built, so it cannot be mixed
     d1 = tm.simulate_counts(pc.cfr_state(0.5), 1_000, seed=0)
@@ -334,7 +346,8 @@ def test_monte_carlo_shrinks_with_events():
 def test_monte_carlo_requires_two_samples():
     est = tm.EstimatedState(gamma=pc.cfr_state(0.5), sigma=np.zeros((4, 4)))
     for n_samples in (1, -1, -2):
-        with pytest.raises(ValueError, match=f"n_samples must be 0 or at least 2, got {n_samples}"):
+        message = f"n_samples must be 0 (none) or at least 2, got {n_samples}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             tm.monte_carlo_propagate(est, n_samples, 0)
 
 
@@ -549,3 +562,37 @@ def test_monte_carlo_repairs_the_raw_draws():
     # each row keeps the bits it has when repaired apart from the others
     assert stack[0].tobytes() == tm.repair_to_physical(est.gamma).tobytes()
     assert stack[1:].tobytes() == tm.repair_to_physical(draws).tobytes()
+
+
+def _estimate_and_samples(g_true, events, seed):
+    """The 151-row stack Monte Carlo repairs: an estimate on top of 150 samples of it."""
+    est = tm.estimate_correlations(tm.simulate_counts(g_true, events, seed=seed))
+    return np.concatenate([est.gamma[None], _samples(g_true, events, 150, seed)])
+
+
+@pytest.mark.parametrize("name, eigh_rows", [
+    ("certified lone matrix", []),
+    ("lab-like stack", []),
+    ("bell:phi+", [1]),
+    ("edge-like stack", [151]),
+])
+def test_repair_runs_eigh_on_uncertified_rows_only(monkeypatch, name, eigh_rows):
+    # a lone matrix is a block of one, and a block the check certifies whole is done
+    g = {
+        "certified lone matrix": lambda: _pure_with_noise(np.random.default_rng(24), 0.3),
+        "lab-like stack": lambda: _estimate_and_samples(pc.cfr_state(0.98), 100_000, 1),
+        "bell:phi+": lambda: np.diag([1.0, 1, 1, -1]),
+        "edge-like stack": lambda: _estimate_and_samples(
+            _pure_with_noise(np.random.default_rng(4), 0.02), 300, 1),
+    }[name]()
+    expected = _repair_every_matrix(g)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a):
+        calls.append(len(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    assert tm.repair_to_physical(g).tobytes() == expected.tobytes()
+    assert calls == eigh_rows
