@@ -32,7 +32,6 @@ from .pauli_core import (
     NumberField,
     POLARIZATION_BLOCH,
     check_correlation,
-    hs_distance,
 )
 from .standard_form import LocalMapPair, _check_physical, _to_standard_form
 
@@ -55,9 +54,11 @@ class QuasiDecomposition:
     ``weights[i, j]`` weighs the product of Alice's state ``alice[i]`` and
     Bob's state ``bob[j]``; row ``i`` of either side belongs to label
     ``alphabet[i]``.  ``residual_coeff`` is the coefficient of the y-y Pauli
-    product that no real-valued local expansion can reproduce; it is zero
-    for the complex field.  ``distance`` is the Hilbert-Schmidt distance of
-    the expansion to the decomposed state; ``decompose`` sets both.
+    product that no real-valued local expansion can reproduce, and
+    ``distance`` is the Hilbert-Schmidt distance of the expansion to the
+    decomposed state.  ``decompose`` sets both from the closed forms of
+    ``expansion_error``: over the reals the expansion misses exactly the
+    state's y row and column, and over the complex numbers both are 0.
     """
 
     weights: np.ndarray
@@ -128,8 +129,9 @@ def decompose(g: np.ndarray, field: NumberField) -> tuple[QuasiDecomposition, fl
     field's alphabet, transports back to the original frame, and returns
     the decomposition together with its Hilbert-Schmidt distance to the
     input.  For the real field the reduction consumes the real projection
-    of the input, but the distance and the residual y-y coefficient are
-    measured against the state actually given.
+    of the input; the distance and the residual y-y coefficient are the
+    closed forms of ``expansion_error`` on the state actually given, and
+    both are exactly zero for the complex field.
     """
     return _decompose(_check_physical(g), field)
 
@@ -140,12 +142,9 @@ def _decompose(g: np.ndarray, field: NumberField) -> tuple[QuasiDecomposition, f
     if sf.residual_offdiag > STANDARD_FORM_TOL:  # the closed-form weights need a diagonal
         raise ValueError(f"input is not in standard form (off-diagonal {sf.residual_offdiag:.3e})")
     decomposition = _transform(_pstd(sf.gamma_std, field), sf.maps)
-    reconstruction = local_reconstruction(decomposition)
-    decomposition.distance = distance = float(hs_distance(g, reconstruction))
-    if field is NumberField.REAL:
-        decomposition.residual_coeff = float(
-            (g[IDX_Y, IDX_Y] - reconstruction[IDX_Y, IDX_Y]) / 4.0
-        )
+    distance, residual = _expansion_error(g, field)
+    decomposition.distance = distance = float(distance)
+    decomposition.residual_coeff = float(residual)
     return decomposition, distance
 
 
@@ -154,11 +153,16 @@ def expansion_error(g: np.ndarray, field: NumberField) -> tuple[np.ndarray, np.n
 
     The real expansion misses exactly gamma's y row and column; the complex one is complete.
     """
-    g = check_correlation(g)
+    return _expansion_error(check_correlation(g), field)
+
+
+def _expansion_error(g: np.ndarray, field: NumberField) -> tuple[np.ndarray, np.ndarray]:
+    """``expansion_error`` of a checked ``g``."""
     if field is NumberField.COMPLEX:
         return np.zeros(g.shape[:-2]), np.zeros(g.shape[:-2])
     yy = g[..., IDX_Y, IDX_Y]
-    squares = np.sum(g[..., IDX_Y, :] ** 2, axis=-1) + np.sum(g[..., :, IDX_Y] ** 2, axis=-1)
+    # the methods reduce as np.sum does, without its dispatch: a lone matrix's cost halves
+    squares = (g[..., IDX_Y, :] ** 2).sum(axis=-1) + (g[..., :, IDX_Y] ** 2).sum(axis=-1)
     return 0.5 * np.sqrt(squares - yy**2), yy / 4.0
 
 

@@ -886,7 +886,7 @@ def test_summary_lines_pinned(tmp_path, capsys):
         "<sigma_y x sigma_y> = 0.959 +- 0.00633715236  (R-entangled: True, C-entangled: False)",
         "similarity to target = 0.998589532 +- 0.000957861795",
         "real decomposition: distance 0.479930652 +- 0.00470426812, separable: False",
-        "complex decomposition: distance 1.26214621e-16 +- 0, separable: False",
+        "complex decomposition: distance 0 +- 0, separable: False",
         "estimate repaired: False",
     ]
     assert cli.main(["exact", "--state", "cfr:q=1,v=0.96", "--out", str(out)]) == 0

@@ -601,9 +601,10 @@ def test_lean_kernels_bit_equal_to_references(field, monkeypatch):
     decomposed = 0
     for g in lean_kernel_states(np.random.default_rng(1717)):
         try:
-            qp._decompose(g, field)
+            d, _ = qp._decompose(g, field)
         except sf.SingularMarginal:
             continue
+        qp.local_reconstruction(d)  # the decomposition reads the closed forms, not this
         decomposed += 1
     # diagonal blocks, with negative, zero and repeated entries
     n = 3 if field is NF.COMPLEX else 2
@@ -612,6 +613,35 @@ def test_lean_kernels_bit_equal_to_references(field, monkeypatch):
     assert decomposed >= 540
     assert min(compared.values()) == compared["pstd"] == decomposed
     assert compared["svd"] == decomposed + 4
+
+
+@pytest.mark.parametrize("field", list(NF))
+def test_decompose_reads_closed_forms_and_reconstruction_reproduces_the_rest(field):
+    # the distance and residual are expansion_error's, bit for bit; the expansion itself
+    # rebuilds gamma everywhere but the y row and column, which only the complex field has,
+    # to 1e-9 or to the round-off that ill-conditioned local maps amplify (1.2e-9 on one
+    # product mixture here, whose maps have condition numbers multiplying to 4e7)
+    y_sector = np.zeros((4, 4), dtype=bool)
+    if field is NF.REAL:
+        y_sector[pc.IDX_Y, :] = y_sector[:, pc.IDX_Y] = True
+    decomposed = 0
+    for g in lean_kernel_states(np.random.default_rng(2525)):
+        try:
+            d, dist = qp.decompose(g, field)
+        except sf.SingularMarginal:
+            continue
+        decomposed += 1
+        closed_dist, closed_residual = qp.expansion_error(g, field)
+        assert (dist, d.distance, d.residual_coeff) == (closed_dist, closed_dist, closed_residual)
+        if field is NF.COMPLEX:
+            assert dist == 0.0 and d.residual_coeff == 0.0
+        maps = sf.to_standard_form(g, field).maps
+        conditioning = np.linalg.cond(maps.a_map) * np.linalg.cond(maps.b_map)
+        tol = 1e-9 + 32 * np.finfo(float).eps * conditioning
+        rec = qp.local_reconstruction(d)
+        assert np.abs(rec - g)[~y_sector].max() < tol
+        assert not rec[y_sector].any()
+    assert decomposed >= 540
 
 
 def _local_rotation(rng, field):

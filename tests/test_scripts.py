@@ -61,17 +61,17 @@ def test_cfr_scan_prints_one_row_per_step(capsys):
 DEFAULT_SCAN = """\
 q,witness,real_distance,residual,complex_distance,real_sep,complex_sep
 0.000,-1,0.5,-0.25,0,False,True
-0.050,-0.9,0.45,-0.225,5.88784672e-17,False,True
+0.050,-0.9,0.45,-0.225,0,False,True
 0.100,-0.8,0.4,-0.2,0,False,True
-0.150,-0.7,0.35,-0.175,1.22663473e-17,False,True
-0.200,-0.6,0.3,-0.15,5.63718406e-17,False,True
-0.250,-0.5,0.25,-0.125,1.11886302e-16,False,True
-0.300,-0.4,0.2,-0.1,2.81859203e-17,False,True
-0.350,-0.3,0.15,-0.075,4.90653893e-18,False,True
-0.400,-0.2,0.1,-0.05,5.7219585e-17,False,True
+0.150,-0.7,0.35,-0.175,0,False,True
+0.200,-0.6,0.3,-0.15,0,False,True
+0.250,-0.5,0.25,-0.125,0,False,True
+0.300,-0.4,0.2,-0.1,0,False,True
+0.350,-0.3,0.15,-0.075,0,False,True
+0.400,-0.2,0.1,-0.05,0,False,True
 0.450,-0.1,0.05,-0.025,0,False,True
 0.500,0,0,0,0,True,True
-0.550,0.1,0.05,0.025,1.38777878e-17,False,True
+0.550,0.1,0.05,0.025,0,False,True
 0.600,0.2,0.1,0.05,0,False,True
 0.650,0.3,0.15,0.075,0,False,True
 0.700,0.4,0.2,0.1,0,False,True
@@ -79,7 +79,7 @@ q,witness,real_distance,residual,complex_distance,real_sep,complex_sep
 0.800,0.6,0.3,0.15,0,False,True
 0.850,0.7,0.35,0.175,0,False,True
 0.900,0.8,0.4,0.2,0,False,True
-0.950,0.9,0.45,0.225,5.55111512e-17,False,True
+0.950,0.9,0.45,0.225,0,False,True
 1.000,1,0.5,0.25,0,False,True
 """
 
