@@ -9,7 +9,8 @@ exact      run the same characterization on an exact correlation matrix
 State specs: ``cfr:q=<v>[,v=<visibility>]``, ``product:<ab>`` with labels
 from {H, V, D, A, R, L}, ``bell:phi+|phi-|psi+|psi-``,
 ``mix:<comp>=<w>,...`` with product-pair or ``mixed`` components, or
-``gamma:<path>`` pointing at a whitespace-separated 4x4 matrix file.
+``gamma:<path>`` pointing at a whitespace-separated 4x4 matrix file, one
+row per line, ``#`` comments and blank lines allowed.
 
 Counts files are flat text: comment lines starting with ``#`` followed by
 nine records ``<alice basis> <bob basis> n_pp n_pm n_mp n_mm`` in any order,
@@ -34,7 +35,6 @@ import math
 import operator
 import os
 import sys
-import warnings
 from itertools import product
 
 import numpy as np
@@ -166,12 +166,7 @@ def parse_state_spec(spec: str) -> np.ndarray:
     if kind == "mix":
         return _mix_gamma(_mix_components(rest, spec))
     if kind == "gamma":
-        # a local file: given a name, np.loadtxt would also fetch URLs
-        with warnings.catch_warnings():
-            # a file without data gets the 4x4 diagnostic below, not numpy's note
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            gamma = np.loadtxt(_read_lines(rest, "gamma file"))
-        gamma = check_correlation(gamma)
+        gamma = check_correlation(_read_gamma(rest))
         # every state has |gamma[mu,nu]| = |tr(rho s_mu (x) s_nu)| <= 1
         outside = np.abs(gamma) > 1.0 + DEFAULT_TOL
         if outside.any():
@@ -208,12 +203,53 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _read_lines(path: str, kind: str) -> list[str]:
-    """The lines of ``path`` read as UTF-8, as ``_write_text`` writes; a bad byte names the file."""
-    with open(path, encoding="utf-8") as fh:
+    """The lines of ``path`` read as UTF-8, as ``_write_text`` writes; a bad byte names the file.
+
+    A UTF-8 byte-order mark at the start of the file, which some editors
+    write, is dropped.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return fh.readlines()
         except UnicodeDecodeError as exc:
             raise ValueError(f"{kind} {path} is not UTF-8 text: {exc.reason}") from None
+
+
+def _number(token: str) -> float | None:
+    """``token`` as ``np.loadtxt`` reads a number, or None where it reads none.
+
+    ``float`` alone also reads ``1_0`` and the digits of other scripts,
+    such as ``١``.
+    """
+    if token.isascii() and "_" not in token:
+        try:
+            return float(token)
+        except ValueError:
+            pass
+    return None
+
+
+def _read_gamma(path: str) -> np.ndarray:
+    """The numbers of a ``gamma:`` file, a row per line, as ``np.loadtxt`` reads and shapes them.
+
+    Whitespace separates numbers, ``#`` starts a comment that runs to the
+    end of its line, and lines without a number are skipped.  A ragged row
+    or a token that is no number raises ValueError naming the file's line.
+    One row or one column comes back 1-d and a lone number 0-d, so
+    ``check_correlation`` names the shape ``np.loadtxt`` would have given.
+    """
+    rows = []
+    for lineno, raw in enumerate(_read_lines(path, "gamma file"), start=1):
+        tokens = raw.partition("#")[0].split()
+        if not tokens:
+            continue
+        if rows and len(tokens) != len(rows[0]):
+            raise ValueError(f"{path}:{lineno}: expected {len(rows[0])} numbers, got {len(tokens)}")
+        row = list(map(_number, tokens))
+        if None in row:
+            raise ValueError(f"{path}:{lineno}: not a number: {tokens[row.index(None)]!r}")
+        rows.append(row)
+    return np.array(rows).squeeze()
 
 
 def write_counts(path: str, dataset: CountsDataset, meta: dict[str, str] | None = None) -> None:
@@ -550,8 +586,8 @@ def cmd_characterize(args: argparse.Namespace) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's argument parser, built once per process."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI's argument parser and each command's own parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="rebitkit",
         description="Characterize two-level pair states over real and complex numbers.",
@@ -579,11 +615,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--fields", default="real,complex", help="comma list of number fields")
     p_ex.add_argument("--observable", action="append", default=[], help="extra witness lz,lx,ly")
     p_ex.add_argument("--out", required=True, help="report file to write")
-    return parser
+    return parser, {"simulate": p_sim, "analyze": p_ana, "exact": p_ex}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process."""
+    return _parsers()[0]
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, parsed by the named command's own parser where it can be.
+
+    The top-level parser reads the command name and hands every argument
+    after it to that command's parser, so when that parser takes them all
+    the result is the same, without a first pass over them.  Where no
+    command is named first, or the command's parser leaves arguments it
+    does not know, the top-level parser parses ``argv`` and gives its own
+    help, usage and error text.
+    """
+    parser, commands = _parsers()
+    if argv and argv[0] in commands:
+        args, unknown = commands[argv[0]].parse_known_args(argv[1:])
+        if not unknown:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     # resolved per call, so a rebound module name (a tracer's wrapper) is used
     command = cmd_simulate if args.command == "simulate" else cmd_characterize
     try:

@@ -710,16 +710,28 @@ def test_exact_diagnostics_show_plain_values(tmp_path, capsys):
          "correlation matrix entry outside [-1, 1]: gamma[2,3] = -1.5"),
         ("", "correlation matrix must be 4x4, got (0,)"),
         ("# no data\n", "correlation matrix must be 4x4, got (0,)"),
+        # other shapes as np.loadtxt gives them: one row or column is 1-d, one number 0-d
+        ("1 0 0 0\n", "correlation matrix must be 4x4, got (4,)"),
+        ("1\n0\n0\n0\n", "correlation matrix must be 4x4, got (4,)"),
+        ("# one\n1\n", "correlation matrix must be 4x4, got ()"),
+        (" ".join("1" * 16), "correlation matrix must be 4x4, got (16,)"),
+        ("1 0 0 0\n" * 5, "correlation matrix must be 4x4, got (5, 4)"),
+        # a malformed file names its line
+        ("1 0 0 0\n0 0 0\n0 0 0 0\n0 0 0 0\n", "{path}:2: expected 4 numbers, got 3"),
+        ("# a state\n1 0 0 0\n\n0 0 x 0\n0 0 0 0\n0 0 0 0\n", "{path}:4: not a number: 'x'"),
+        ("1 0 0 0\n0 1_0 0 0\n0 0 0 0\n0 0 0 0\n", "{path}:2: not a number: '1_0'"),
+        ("1 0 0 0\n0 0 0 0\n0 0 0 \u0661\n0 0 0 0\n", "{path}:3: not a number: '\u0661'"),
+        ("\ufeff1 0 0 0 # note\r\n0 0 0 0 0\r\n", "{path}:2: expected 4 numbers, got 5"),
     ],
 )
 def test_exact_gamma_file_diagnostics_warn_nothing(tmp_path, capsys, text, message):
     path = tmp_path / "gamma.txt"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     out = tmp_path / "r.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(["exact", "--state", f"gamma:{path}", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
     assert not out.exists()
 
 
@@ -729,6 +741,144 @@ def test_exact_gamma_file_accepts_unit_entries(tmp_path):
     np.savetxt(path, np.diag([1.0, 1.0 + 1e-12, 1.0, -1.0]))
     out = tmp_path / "r.json"
     assert cli.main(["exact", "--state", f"gamma:{path}", "--out", str(out)]) == 0
+
+
+def _loadtxt_number(token: str) -> float | None:
+    """What ``np.loadtxt`` reads from a line holding ``token`` alone, or None where it raises."""
+    try:
+        return float(np.loadtxt([token + "\n"]))
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("fmt", [None, "%.17g", "%.18e"])  # None: np.savetxt's default
+def test_gamma_reader_bit_equal_to_loadtxt_on_savetxt_files(tmp_path, fmt):
+    rng = np.random.default_rng(2626)
+    path = tmp_path / "gamma.txt"
+    kwargs = {} if fmt is None else {"fmt": fmt}
+    for _ in range(1000):
+        np.savetxt(path, random_full_rank_gamma(rng), **kwargs)
+        got = cli.parse_state_spec(f"gamma:{path}")
+        assert got.shape == (4, 4) and _bits(got) == _bits(np.loadtxt(path))
+
+
+# np.loadtxt reads float() syntax in ASCII: no underscores and no digits of other scripts
+_TOKENS = ["1", "-0", "+.5", "5.", "1e-320", "4.9e-324", "1E+308", "1e999", "-1e999", "inf",
+           "-Infinity", "+nan", "-NaN", "nan(1)", "0x10", "1d5", "1e", ".", "+", "1_0", "1__0",
+           "١", "١٢", "½", "𝟏", "1.5\x00", "--1", "1e1_0", "infinit", "0.1000000000000000055511"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_TOKENS) | st.text("0123456789.eE+-_nNaAiIfty١x\x00", min_size=1, max_size=8))
+def test_gamma_number_syntax_is_loadtxts(token):
+    want, got = _loadtxt_number(token), cli._number(token)
+    assert (got is None) == (want is None), token
+    if want is not None:
+        assert _bits(got) == _bits(want), token
+
+
+def test_gamma_file_comments_blank_lines_tabs_crlf_and_bom_read_as_plain(tmp_path):
+    gamma = random_full_rank_gamma(np.random.default_rng(26))
+    rows = [" ".join(map(repr, row)) for row in gamma.tolist()]
+    plain = tmp_path / "plain.txt"
+    plain.write_text("\n".join(rows) + "\n")
+    tabbed = ["  " + row.replace(" ", "\t") + "\t# row" for row in rows]
+    lines = ["# a noisy pure state", "", *tabbed, "#"]
+    decorated = tmp_path / "decorated.txt"
+    decorated.write_bytes(b"\xef\xbb\xbf" + "\r\n".join(lines).encode())
+    want = cli.parse_state_spec(f"gamma:{plain}")
+    assert _bits(want) == _bits(gamma)
+    assert _bits(cli.parse_state_spec(f"gamma:{decorated}")) == _bits(want)
+
+
+@pytest.mark.parametrize("command", ["exact", "analyze"])
+def test_byte_order_mark_gives_the_plain_files_report(tmp_path, capsys, command):
+    path = tmp_path / "input.txt"
+    if command == "exact":
+        gamma = cli.parse_state_spec("cfr:q=0.3,v=0.9")
+        text = "\n".join(" ".join(map(repr, row)) for row in gamma.tolist())
+        argv = ["exact", "--state", f"gamma:{path}"]
+    else:
+        cli.write_counts(str(path), tm.simulate_counts(pc.cfr_state(1.0), 2000, seed=5), {"seed": "5"})
+        text = path.read_text(encoding="utf-8")
+        argv = ["analyze", "--counts", str(path), "--mc-samples", "20", "--seed", "1"]
+    runs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(bom + text.encode())
+        assert cli.main([*argv, "--out", str(tmp_path / "r.json")]) == 0
+        outputs = {p.name: p.read_bytes() for p in tmp_path.glob("r.*")}
+        runs.append((capsys.readouterr(), outputs))
+    assert len(runs[0][1]) == 3 and runs[1] == runs[0]
+
+
+# argv lists the top-level parser and a command's own parser must treat alike
+_DISPATCH_ARGVS = [
+    ["simulate", "--state", "cfr:q=1,v=0.9", "--events", "200", "--seed", "3", "--out", "{d}/c.txt"],
+    ["analyze", "--counts", "{d}/c.txt", "--mc-samples=20", "--seed", "1", "--target", "cfr:q=1",
+     "--observable", "1,1,0", "--observable=0,0,1", "--out", "{d}/r.json"],
+    ["exact", "--state=cfr:q=0.3", "--fields", "real", "--out", "{d}/e.json"],
+    ["exact", "--st", "bell:phi+", "--ou", "{d}/e.json"],
+    [], ["-h"], ["--help"], ["simulate", "-h"], ["analyze", "--help"], ["exact", "-h"],
+    ["exact", "-h", "--bogus"], ["exact", "--bogus", "-h"],
+    ["exact", "--state", "cfr:q=1"],
+    ["exact", "--state"],
+    ["exact", "--bogus"],
+    ["simulate", "--state", "cfr:q=1", "--events", "ten", "--out", "{d}/c2.txt"],
+    ["analyze", "--counts", "{d}/c.txt", "--mc-samples", "1.5", "--out", "{d}/r.json"],
+    ["exact", "--state", "cfr:q=1", "--out", "{d}/e.json", "--bogus"],
+    ["exact", "--state", "cfr:q=1", "--out", "{d}/e.json", "--bogus=1", "stray"],
+    ["exact", "--state", "cfr:q=1", "--out", "{d}/e.json", "stray"],
+    ["exect", "--state", "cfr:q=1", "--out", "{d}/e.json"], ["Exact"], ["frobnicate"],
+    ["--"], ["--", "exact", "--state", "cfr:q=1", "--out", "{d}/e.json"],
+    ["exact", "--", "--state", "cfr:q=1", "--out", "{d}/e.json"],
+    ["exact", "--state", "cfr:q=1", "--out", "{d}/e.json", "--"],
+    ["-x", "exact"], ["--version"], ["--he"], ["-"],
+    ["analyze", "--counts", "{d}/missing.txt", "--out", "{d}/r.json"],
+    ["exact", "--state", "nope:1", "--out", "{d}/e.json"],
+]
+
+
+def _run_main(argv: list[str], capsys) -> tuple:
+    """How ``cli.main(argv)`` ended (its return value or SystemExit code), its stdout and its stderr."""
+    try:
+        ended = ("return", cli.main(argv))
+    except SystemExit as exc:
+        ended = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return ended, captured.out, captured.err
+
+
+def test_main_ends_as_with_the_top_level_parser(tmp_path, capsys, monkeypatch):
+    runs = []
+    for argv in _DISPATCH_ARGVS:
+        argv = [arg.replace("{d}", str(tmp_path)) for arg in argv]
+        got = _run_main(argv, capsys)
+        with monkeypatch.context() as m:
+            # the reference: every argv through the top-level parser
+            m.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+            want = _run_main(argv, capsys)
+        assert got == want, argv
+        runs.append(got[0])
+    # the corpus reaches every way out: a command's result, help and usage errors
+    assert {("return", 0), ("return", 2), ("exit", 0), ("exit", 2)} <= set(runs)
+
+
+def test_named_command_parses_without_the_top_level_parser(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser was consulted")
+
+    monkeypatch.setattr(cli.build_parser(), "parse_known_args", refuse)
+    out = tmp_path / "e.json"
+    assert cli.main(["exact", "--state", "cfr:q=1", "--observable", "1,1,0", "--out", str(out)]) == 0
+    with pytest.raises(AssertionError, match="top-level parser"):
+        cli.main(["exact", "--state", "cfr:q=1", "--out", str(out), "--bogus"])
+
+
+def test_main_reads_sys_argv_by_default(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "e.json"
+    monkeypatch.setattr(sys, "argv", ["rebitkit", "exact", "--state", "cfr:q=1", "--out", str(out)])
+    assert cli.main() == 0
+    assert capsys.readouterr().out.startswith(f"wrote {out}\n")
 
 
 def _strict_json(text: str) -> dict:
@@ -974,14 +1124,27 @@ _SPEC_BODIES = (
     | st.text(max_size=12)
 )
 _GAMMA_ENTRIES = (
-    st.sampled_from(["0", "1", "0.5", "-1", "2", "1e-12", "nan", "1e308"])
+    st.sampled_from(["0", "1", "0.5", "-1", "2", "1e-12", "nan", "1e308", "1_0", "١", "x", "#"])
     | st.floats(-1, 1).map(repr)
 )
-# 4x4 grids with gamma[0,0] = 1, or free text
-_GAMMA_FILES = st.lists(_GAMMA_ENTRIES, min_size=16, max_size=16).map(
-    lambda e: "\n".join(" ".join(["1", *e[1:4]] if i == 0 else e[4 * i:4 * i + 4])
-                        for i in range(4))
-) | st.text(max_size=40)
+
+
+@st.composite
+def _gamma_grid(draw) -> str:
+    """A 4x4 grid with gamma[0,0] = 1 in any form the reader takes: separators, comments,
+    blank lines, CRLF and a byte-order mark; a drawn ``#`` entry leaves a ragged row."""
+    e = draw(st.lists(_GAMMA_ENTRIES, min_size=16, max_size=16))
+    rows = [["1", *e[1:4]], e[4:8], e[8:12], e[12:16]]
+    sep = draw(st.sampled_from([" ", "\t", "  \t"]))
+    lines = [sep.join(row) + draw(st.sampled_from(["", " ", " # note", "\t#"])) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "# c", " \t"])))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+# 4x4 grids, or free text
+_GAMMA_FILES = _gamma_grid() | st.text(max_size=40)
 _NUMBERS = ["0", "-1", "1.5", "nan", "inf", "1e400", "9" * 400, str(2**53 + 1), "x", "#", "١٢"]
 
 
@@ -1021,9 +1184,10 @@ _FUZZ = settings(deadline=None, suppress_health_check=[HealthCheck.function_scop
 @settings(_FUZZ, max_examples=150)
 @given(kind=st.sampled_from(_SPEC_KINDS), body=_SPEC_BODIES, gamma_file=_GAMMA_FILES)
 @example(kind="gamma", body="", gamma_file="1 1e308 0 0\n0 1e308 0 0\n0 0 0 0\n0 0 0 0")
+@example(kind="gamma", body="", gamma_file="\ufeff# c\r\n1 0 0 0\r\n\r\n0\t0 0 0 # c\r\n0 0 0 0\r\n0 0 0 0")
 def test_fuzz_exact_state_specs(tmp_path, capsys, kind, body, gamma_file):
     gamma = tmp_path / "g.txt"
-    gamma.write_text(gamma_file)
+    gamma.write_text(gamma_file, encoding="utf-8")
     # gamma: specs read the fuzzed file; other kinds take the fuzzed body
     spec = f"{kind}:{gamma}" if kind == "gamma" else f"{kind}:{body}"
     out = tmp_path / "r.json"
