@@ -37,7 +37,6 @@ from .tomography import (
     CountsDataset,
     EstimatedState,
     estimate_correlations,
-    mix_datasets,
     monte_carlo_propagate,
     repair_to_physical,
     simulate_counts,
@@ -78,7 +77,6 @@ __all__ = [
     "CountsDataset",
     "EstimatedState",
     "estimate_correlations",
-    "mix_datasets",
     "monte_carlo_propagate",
     "repair_to_physical",
     "simulate_counts",

@@ -64,7 +64,6 @@ from .tomography import (
     check_events,
     check_mc_samples,
     estimate_correlations,
-    mix_datasets,
     monte_carlo_propagate,
     simulate_counts,
 )
@@ -95,6 +94,22 @@ def _round9(a) -> float | list:
     return rounded if a.ndim == 1 else np.array(rounded).reshape(a.shape).tolist()
 
 
+def _number(token: str) -> float | None:
+    """``token`` as ``np.loadtxt`` reads a number, or None where it reads none.
+
+    ``float`` alone also reads ``1_0`` and the digits of other scripts,
+    such as ``١``.  Spec parameters, ``--observable`` coefficients and
+    ``gamma:`` files read their numbers with it, and a count must pass it
+    before ``int`` reads it.
+    """
+    if token.isascii() and "_" not in token:
+        try:
+            return float(token)
+        except ValueError:
+            pass
+    return None
+
+
 def _parse_params(rest: str, spec: str) -> dict[str, float]:
     """``key=value`` pairs of a state spec; every key once, every value finite."""
     params = {}
@@ -104,41 +119,12 @@ def _parse_params(rest: str, spec: str) -> dict[str, float]:
             raise ValueError(f"malformed parameter {part!r} in state spec {spec!r}")
         if key in params:
             raise ValueError(f"duplicate parameter {key!r} in state spec {spec!r}")
-        try:
-            params[key] = float(value)
-        except ValueError:
-            raise ValueError(f"parameter {key!r} in {spec!r} is not a number: {value!r}") from None
+        params[key] = _number(value)
+        if params[key] is None:
+            raise ValueError(f"parameter {key!r} in {spec!r} is not a number: {value!r}")
         if not np.isfinite(params[key]):
             raise ValueError(f"parameter {key!r} in {spec!r} must be finite, got {value!r}")
     return params
-
-
-def _mix_components(rest: str, spec: str) -> list[tuple[np.ndarray, float]]:
-    components = []
-    for name, weight in _parse_params(rest, spec).items():
-        if weight < 0:
-            raise ValueError(f"negative weight for component {name!r}")
-        if name == "mixed":
-            gamma = MIXED.copy()
-        elif len(name) == 2 and all(ch in POLARIZATION_BLOCH for ch in name):
-            gamma = product_correlation(
-                POLARIZATION_BLOCH[name[0]], POLARIZATION_BLOCH[name[1]]
-            )
-        else:
-            raise ValueError(f"unknown mix component {name!r} in {spec!r}")
-        components.append((gamma, weight))
-    # summed left to right on every Python: sum() compensates from 3.12 on
-    total = functools.reduce(operator.add, (w for _, w in components), 0.0)
-    if not np.isfinite(total):
-        raise ValueError(f"weights of mix spec {spec!r} overflow: their sum is {total}")
-    if total <= 0:
-        raise ValueError(f"mix spec {spec!r} has no positive weight")
-    return components
-
-
-def _mix_gamma(components: list[tuple[np.ndarray, float]]) -> np.ndarray:
-    total = functools.reduce(operator.add, (w for _, w in components), 0.0)
-    return sum(g * (w / total) for g, w in components)
 
 
 def parse_state_spec(spec: str) -> np.ndarray:
@@ -164,7 +150,26 @@ def parse_state_spec(spec: str) -> np.ndarray:
         except KeyError:
             raise ValueError(f"unknown Bell state {rest!r}") from None
     if kind == "mix":
-        return _mix_gamma(_mix_components(rest, spec))
+        components = []
+        for name, weight in _parse_params(rest, spec).items():
+            if weight < 0:
+                raise ValueError(f"negative weight for component {name!r}")
+            if name == "mixed":
+                gamma = MIXED
+            elif len(name) == 2 and all(ch in POLARIZATION_BLOCH for ch in name):
+                gamma = product_correlation(
+                    POLARIZATION_BLOCH[name[0]], POLARIZATION_BLOCH[name[1]]
+                )
+            else:
+                raise ValueError(f"unknown mix component {name!r} in {spec!r}")
+            components.append((gamma, weight))
+        # summed left to right on every Python: sum() compensates from 3.12 on
+        total = functools.reduce(operator.add, (w for _, w in components), 0.0)
+        if not np.isfinite(total):
+            raise ValueError(f"weights of mix spec {spec!r} overflow: their sum is {total}")
+        if total <= 0:
+            raise ValueError(f"mix spec {spec!r} has no positive weight")
+        return sum(g * (w / total) for g, w in components)
     if kind == "gamma":
         gamma = check_correlation(_read_gamma(rest))
         # every state has |gamma[mu,nu]| = |tr(rho s_mu (x) s_nu)| <= 1
@@ -213,20 +218,6 @@ def _read_lines(path: str, kind: str) -> list[str]:
             return fh.readlines()
         except UnicodeDecodeError as exc:
             raise ValueError(f"{kind} {path} is not UTF-8 text: {exc.reason}") from None
-
-
-def _number(token: str) -> float | None:
-    """``token`` as ``np.loadtxt`` reads a number, or None where it reads none.
-
-    ``float`` alone also reads ``1_0`` and the digits of other scripts,
-    such as ``١``.
-    """
-    if token.isascii() and "_" not in token:
-        try:
-            return float(token)
-        except ValueError:
-            pass
-    return None
 
 
 def _read_gamma(path: str) -> np.ndarray:
@@ -290,6 +281,8 @@ def read_counts(path: str) -> CountsDataset:
         if rows[k] is not None:
             raise ValueError(f"{path}:{lineno}: duplicate setting ({a}, {b})")
         try:
+            if None in map(_number, parts[2:]):
+                raise ValueError
             # a count outside [-1, 2**53 + 1] fails the same check as the bound
             # nearest it, and the bound fits in int64 where the count may not
             rows[k] = [min(max(int(p), -1), MAX_EVENTS + 1) for p in parts[2:]]
@@ -363,8 +356,7 @@ def run_analysis(
     ``monte_carlo_propagate`` call gives that repair as row 0 of its stack,
     for ``exact`` and ``--mc-samples 0`` too, where the stack holds no
     other row; the similarity and the closed-form ``expansion_error``
-    spread over rows 1 on.  Monte Carlo draws no samples when sigma is
-    all zero.
+    spread over rows 1 on.
 
     The document is the plain dict ``write_report`` writes, keys in file
     order, every number rounded by ``_round9`` as it is built; the summary
@@ -372,11 +364,10 @@ def run_analysis(
     """
     gamma = estimated.gamma
     witness = _witness_dict(evaluate_witness(gamma, SIGMA_YY, sigma_gamma=estimated.sigma))
-    n_samples = mc_samples if estimated.sigma.max() > 0.0 else 0
     sigmas = np.zeros(2 * len(fields) + (target_gamma is not None))
     try:
-        stack = monte_carlo_propagate(estimated, n_samples, mc_seed)
-        if n_samples:
+        stack = monte_carlo_propagate(estimated, mc_samples, mc_seed)
+        if mc_samples:
             samples = stack[1:]
             # columns: distance and residual per field, then the similarity
             columns = [c for fld in fields for c in expansion_error(samples, fld)]
@@ -388,7 +379,7 @@ def run_analysis(
             f"--mc-samples {mc_samples} needs more memory than is available"
         ) from None
     gamma_phys = stack[0]
-    mc_block = {"samples": mc_samples, "seed": mc_seed} if n_samples else None
+    mc_block = {"samples": mc_samples, "seed": mc_seed} if mc_samples else None
 
     # the repair is checked and physical: decompose it without checking again
     results = {fld: _decompose(gamma_phys, fld)[0] for fld in fields}
@@ -502,19 +493,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     spec = args.state
     events = check_events(args.events, "--events")
     seed = _seed(args.seed)
-    kind, _, rest = spec.partition(":")
-    if kind.strip().lower() == "mix":
-        # classical mixture: simulate each component, then combine datasets
-        components = _mix_components(rest, spec)
-        gamma = _mix_gamma(components)
-        parts = [
-            (simulate_counts(g, events, seed=seed + i), w)
-            for i, (g, w) in enumerate(components)
-        ]
-        dataset = mix_datasets(parts)
-    else:
-        gamma = parse_state_spec(spec)
-        dataset = simulate_counts(gamma, events, seed=seed)
+    # a mixture too is one multinomial draw of its state, as a lab records it
+    gamma = parse_state_spec(spec)
+    dataset = simulate_counts(gamma, events, seed=seed)
     meta = {
         "state": spec,
         "events-per-setting": str(events),

@@ -7,8 +7,9 @@ occur with probabilities
     p(s, t) = (1 + s g[mu, 0] + t g[0, nu] + s t g[mu, nu]) / 4 .
 
 The counts of all nine settings are one (3, 3, 4) int64 array, and
-simulation, estimation and mixing are array math over it.  Linear
-inversion recovers the correlation matrix with binomial standard errors.
+simulation and estimation are array math over it.  Linear inversion
+recovers the correlation matrix; each entry's standard deviation is the
+Jeffreys (add-1/2) posterior one, which is never zero.
 Monte Carlo stacks the estimate on samples drawn around it entrywise
 normally and repairs the (N + 1, 4, 4) stack block by block, a lone
 matrix as one block: a closed-form positivity check passes most rows as
@@ -132,20 +133,26 @@ def simulate_counts(
 
 
 def estimate_correlations(c: CountsDataset) -> EstimatedState:
-    """Linear-inversion correlation matrix and standard errors.
+    """Linear-inversion correlation matrix and its Jeffreys standard deviations.
 
     Each setting gives the correlation estimate directly; the marginal
     entries average the per-setting marginals over the partner's three
-    bases, with variances combined quadratically.  sigma[0, 0] is zero
-    since the normalization is exact.
+    bases, with variances combined quadratically.  The variance of each
+    per-setting mean v of n outcomes of +-1 is the Jeffreys posterior
+    variance (1 - h**2) / (n + 2), h = (n+ - n-) / (n + 1), which is
+    positive even when every outcome agrees (Blume-Kohout, NJP 12, 043034
+    (2010)); the point estimate is v = (n+ - n-) / n.  sigma[0, 0] is
+    zero since the normalization is exact.
     """
     sums = c.counts @ _SIGNS  # exact: int64 holds four counts of up to 2**53
-    n = sums[..., :1]
+    n, signed = sums[..., :1], sums[..., 1:]
     # per setting: the correlation, Alice's marginal and Bob's marginal
-    values = sums[..., 1:] / n
+    values = signed / n
     corr, alice, bob = values.transpose(2, 0, 1)
-    # float_power is C pow, which rounds as Python's float ** 2 does
-    var = np.maximum(1.0 - np.float_power(values, 2), 0.0) / n
+    # 1 - h**2 as (1 - h)(1 + h), each factor from exact integers, so that
+    # no rounding of h to +-1 zeroes it, up to 2**53 events
+    m = n + 1
+    var = (m - signed) / m * ((m + signed) / m) / (n + 2)
     var_corr, var_alice, var_bob = var.transpose(2, 0, 1)
     gamma = np.zeros((4, 4))
     sigma = np.zeros((4, 4))
@@ -154,19 +161,6 @@ def estimate_correlations(c: CountsDataset) -> EstimatedState:
     gamma[1:, 0], sigma[1:, 0] = alice.mean(axis=1), np.sqrt(var_alice.sum(axis=1)) / 3
     gamma[0, 1:], sigma[0, 1:] = bob.mean(axis=0), np.sqrt(var_bob.sum(axis=0)) / 3
     return EstimatedState(gamma=gamma, sigma=sigma)
-
-
-def mix_datasets(parts: list[tuple[CountsDataset, float]]) -> CountsDataset:
-    """Classical mixture of datasets: weight-scaled counts, rounded to integers."""
-    if not parts:
-        raise ValueError("nothing to mix")
-    weights = np.array([w for _, w in parts], float)
-    if weights.min() < 0 or weights.sum() <= 0:
-        raise ValueError("weights must be nonnegative with positive sum")
-    weights = weights / weights.sum()
-    # summed part by part, in input order: a reordered sum can round .5 the other way
-    mixed = sum(w * ds.counts for (ds, _), w in zip(parts, weights))
-    return CountsDataset(np.rint(mixed).astype(np.int64))
 
 
 def _certified_positive(rho: np.ndarray) -> np.ndarray:

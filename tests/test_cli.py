@@ -102,15 +102,43 @@ def test_simulate_command_writes_counts(tmp_path, capsys):
     assert "true gamma" in capsys.readouterr().out
 
 
-def test_simulate_mix_uses_dataset_mixing(tmp_path):
+def test_simulate_mix_is_one_draw_of_the_mixed_state(tmp_path):
     out = tmp_path / "mix.txt"
     rc = cli.main(
         ["simulate", "--state", "mix:RR=0.5,LL=0.5", "--events", "50000",
          "--seed", "1", "--out", str(out)]
     )
     assert rc == 0
-    est = tm.estimate_correlations(cli.read_counts(str(out)))
+    dataset = cli.read_counts(str(out))
+    want = tm.simulate_counts(cli.parse_state_spec("mix:RR=0.5,LL=0.5"), 50_000, seed=1)
+    np.testing.assert_array_equal(dataset.counts, want.counts)
+    est = tm.estimate_correlations(dataset)
     assert est.gamma[3, 3] == pytest.approx(1.0, abs=0.02)
+
+
+@pytest.mark.parametrize("spec", ["mix:HH=0.5,VV=0.5", "mix:HH=0.5,DD=0.5"])
+@pytest.mark.parametrize("events", [1, 2, 3])
+def test_simulate_mix_holds_exactly_its_events_per_setting(tmp_path, spec, events):
+    out = tmp_path / "mix.txt"
+    assert cli.main(["simulate", "--state", spec, "--events", str(events), "--seed", "0",
+                     "--out", str(out)]) == 0
+    assert f"# events-per-setting: {events}\n" in out.read_text()
+    assert (cli.read_counts(str(out)).counts.sum(axis=-1) == events).all()
+
+
+def test_simulated_mixture_scatters_as_its_sigma(tmp_path):
+    # one draw of the mixed state: the estimate's error over its reported sigma has a
+    # standard deviation near 1 (the bounds were fixed before measuring)
+    spec, out = "mix:RR=0.48,LL=0.48,mixed=0.04", tmp_path / "mix.txt"
+    g = cli.parse_state_spec(spec)
+    z = []
+    for seed in range(200):
+        assert cli.main(["simulate", "--state", spec, "--events", "10000", "--seed", str(seed),
+                         "--out", str(out)]) == 0
+        est = tm.estimate_correlations(cli.read_counts(str(out)))
+        z.append([(est.gamma[i, j] - g[i, j]) / est.sigma[i, j] for i, j in ((3, 3), (3, 0))])
+    spread = np.std(z, axis=0, ddof=1)
+    assert ((0.8 <= spread) & (spread <= 1.25)).all(), spread
 
 
 def test_exact_cfr_report(tmp_path):
@@ -272,6 +300,9 @@ def test_analyze_missing_file_exit_code(tmp_path, capsys):
         ("cfr:v=0.9", "needs q="),
         ("cfr:q=1,w=2", "needs q="),
         ("cfr:q=abc", "not a number"),
+        # float alone reads these: spec numbers take the syntax of gamma: files
+        ("mix:HH=0_5,VV=0.5", "parameter 'HH' in 'mix:HH=0_5,VV=0.5' is not a number: '0_5'"),
+        ("cfr:q=\u0661", "parameter 'q' in 'cfr:q=\u0661' is not a number: '\u0661'"),
         ("mix:RR=0,RR=1", "duplicate parameter 'RR'"),
         ("mix:RR=nan", "must be finite"),
         ("mix:RR=inf,LL=1", "must be finite"),
@@ -388,9 +419,8 @@ def test_analyze_ignores_counts_record_order(tmp_path, monkeypatch, order):
 _MIX_ESTIMATE = """
 import sys
 from rebitkit import cli, tomography as tm
-components = cli._mix_components("HH=0.3,DD=0.3,RL=0.3,mixed=0.1", "mix")
-parts = [(tm.simulate_counts(g, 20_000, seed=7 + i), w) for i, (g, w) in enumerate(components)]
-est = tm.estimate_correlations(tm.mix_datasets(parts))
+gamma = cli.parse_state_spec("mix:HH=0.3,DD=0.3,RL=0.3,mixed=0.1")
+est = tm.estimate_correlations(tm.simulate_counts(gamma, 20_000, seed=7))
 sys.stdout.write(est.gamma.tobytes().hex() + " " + est.sigma.tobytes().hex())
 """
 
@@ -606,6 +636,7 @@ def test_monte_carlo_sigmas_bit_equal_to_callback_reference(monkeypatch, n_sampl
 @pytest.mark.parametrize("observable, message", [
     *(pytest.param(o, f"in {o!r} must be finite", id=o) for o in ["nan,0,1", "1,inf,0", "1,0,-inf"]),
     pytest.param("1,2", "observable needs three coefficients lz,lx,ly, got '1,2'", id="1,2"),
+    pytest.param("\u0661,0,0", "parameter 'lz' in '\u0661,0,0' is not a number", id="arabic-one"),
 ])
 def test_observable_rejects_non_finite(tmp_path, capsys, observable, message):
     out = tmp_path / "r.json"
@@ -900,6 +931,28 @@ def test_exact_rejects_overflowing_observable(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("events", [1, 1000, 2**53])
+def test_analyze_sigma_positive_where_every_event_agrees(tmp_path, events):
+    # every setting's events on one outcome: every mean is +-1, and no sigma but sigma[0,0] is 0
+    counts, out = tmp_path / "c.txt", tmp_path / "r.json"
+    counts.write_text("".join(f"{a} {b} {events} 0 0 0\n" for a in tm.BASES for b in tm.BASES))
+    assert cli.main(["analyze", "--counts", str(counts), "--mc-samples", "20",
+                     "--out", str(out)]) == 0
+    sigma = np.array(cli.read_report(str(out))["estimated"]["sigma"])
+    assert sigma[0, 0] == 0.0 and (sigma.ravel()[1:] > 0.0).all()
+
+
+def test_bell_data_reports_a_positive_witness_sigma(tmp_path):
+    # every y-y event lands on (+,-) or (-,+): the witness sigma is the Jeffreys one, not 0
+    counts, out = tmp_path / "c.txt", tmp_path / "r.json"
+    assert cli.main(["simulate", "--state", "bell:phi+", "--events", "1000", "--seed", "11",
+                     "--out", str(counts)]) == 0
+    assert cli.main(["analyze", "--counts", str(counts), "--out", str(out)]) == 0
+    w = _strict_json(out.read_text())["witness"]
+    assert w["expectation"] == -1.0 and w["sigma"] == 0.00141174288
+    assert type(w["significance"]) is float and w["significance"] > 0
+
+
 def test_certain_verdict_writes_null_significance(tmp_path):
     out = tmp_path / "r.json"
     assert cli.main(["exact", "--state", "cfr:q=1", "--observable", "1,1,0",
@@ -1033,11 +1086,11 @@ def test_summary_lines_pinned(tmp_path, capsys):
                      "--out", str(out)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         f"wrote {out}",
-        "<sigma_y x sigma_y> = 0.959 +- 0.00633715236  (R-entangled: True, C-entangled: False)",
-        "similarity to target = 0.998589532 +- 0.000957861795",
-        "real decomposition: distance 0.479930652 +- 0.00470426812, separable: False",
-        "complex decomposition: distance 0 +- 0, separable: False",
-        "estimate repaired: False",
+        "<sigma_y x sigma_y> = 0.962 +- 0.0061402502  (R-entangled: True, C-entangled: False)",
+        "similarity to target = 0.998684603 +- 0.000716144245",
+        "real decomposition: distance 0.476484088 +- 0.00592700079, separable: False",
+        "complex decomposition: distance 0 +- 0, separable: True",
+        "estimate repaired: True",
     ]
     assert cli.main(["exact", "--state", "cfr:q=1,v=0.96", "--out", str(out)]) == 0
     assert capsys.readouterr().out.splitlines() == [
@@ -1112,7 +1165,8 @@ def test_round9_is_bit_equal_to_format(values):
 
 
 _SPEC_KINDS = ["cfr", "product", "bell", "mix", "CFR", " Mix ", "gamma", ""]
-_SPEC_VALUES = st.sampled_from(["0", "1", "2", "-1", "1e-320", "1e308", "nan", "-inf", "", "x"])
+_SPEC_VALUES = st.sampled_from(["0", "1", "2", "-1", "1e-320", "1e308", "nan", "-inf", "", "x",
+                                "0_5", "\u0661"])
 _SPEC_PARAMS = st.lists(
     st.builds("{}={}".format, st.sampled_from(["q", "v", "RR", "LL", "RL", "HD", "mixed", "w"]),
               _SPEC_VALUES | st.floats(-2, 2).map(repr)),
@@ -1145,7 +1199,8 @@ def _gamma_grid(draw) -> str:
 
 # 4x4 grids, or free text
 _GAMMA_FILES = _gamma_grid() | st.text(max_size=40)
-_NUMBERS = ["0", "-1", "1.5", "nan", "inf", "1e400", "9" * 400, str(2**53 + 1), "x", "#", "١٢"]
+_NUMBERS = ["0", "-1", "1.5", "nan", "inf", "1e400", "9" * 400, str(2**53 + 1), "x", "#", "١٢",
+            "1_0"]
 
 
 @st.composite
@@ -1182,16 +1237,22 @@ _FUZZ = settings(deadline=None, suppress_health_check=[HealthCheck.function_scop
 
 @pytest.mark.filterwarnings("error")
 @settings(_FUZZ, max_examples=150)
-@given(kind=st.sampled_from(_SPEC_KINDS), body=_SPEC_BODIES, gamma_file=_GAMMA_FILES)
-@example(kind="gamma", body="", gamma_file="1 1e308 0 0\n0 1e308 0 0\n0 0 0 0\n0 0 0 0")
-@example(kind="gamma", body="", gamma_file="\ufeff# c\r\n1 0 0 0\r\n\r\n0\t0 0 0 # c\r\n0 0 0 0\r\n0 0 0 0")
-def test_fuzz_exact_state_specs(tmp_path, capsys, kind, body, gamma_file):
+@given(kind=st.sampled_from(_SPEC_KINDS), body=_SPEC_BODIES, gamma_file=_GAMMA_FILES,
+       observables=st.lists(st.lists(_SPEC_VALUES, min_size=2, max_size=4).map(",".join),
+                            max_size=1))
+@example(kind="gamma", body="", gamma_file="1 1e308 0 0\n0 1e308 0 0\n0 0 0 0\n0 0 0 0",
+         observables=[])
+@example(kind="gamma", body="", gamma_file="\ufeff# c\r\n1 0 0 0\r\n\r\n0\t0 0 0 # c\r\n0 0 0 0\r\n0 0 0 0",
+         observables=[])
+@example(kind="mix", body="HH=0_5,VV=0.5", gamma_file="", observables=["\u0661,0,0"])
+def test_fuzz_exact_state_specs(tmp_path, capsys, kind, body, gamma_file, observables):
     gamma = tmp_path / "g.txt"
     gamma.write_text(gamma_file, encoding="utf-8")
     # gamma: specs read the fuzzed file; other kinds take the fuzzed body
     spec = f"{kind}:{gamma}" if kind == "gamma" else f"{kind}:{body}"
     out = tmp_path / "r.json"
-    _assert_clean_exit(cli.main(["exact", f"--state={spec}", "--out", str(out)]), capsys)
+    extra = [f"--observable={o}" for o in observables]
+    _assert_clean_exit(cli.main(["exact", f"--state={spec}", *extra, "--out", str(out)]), capsys)
 
 
 @settings(_FUZZ, max_examples=60)
@@ -1209,8 +1270,8 @@ def test_fuzz_analyze_counts_files(tmp_path, capsys, text):
 
 # pieces of cfr: and mix: bodies, line breaks among them
 _SIMULATE_BODIES = st.lists(
-    st.sampled_from(["q=1", "q=0.3", "v=0.9", "RR=0.5", "LL=0.5", "mixed=0.1", ",", "=",
-                     " ", "\t", "\n", "\r", "\r\n", "\x0c", "\u2028", "#"]),
+    st.sampled_from(["q=1", "q=0.3", "v=0.9", "RR=0.5", "LL=0.5", "mixed=0.1", "RR=0_5",
+                     "q=\u0661", ",", "=", " ", "\t", "\n", "\r", "\r\n", "\x0c", "\u2028", "#"]),
     max_size=8,
 ).map("".join) | st.text(max_size=16)
 
@@ -1250,6 +1311,9 @@ def test_exact_real_certificate_false_for_complex_product_mixture(tmp_path, caps
     ("Z z 1 2 3 4", r"unknown basis pair \(Z, z\)"),
     ("x y 1 2 3 4", r"duplicate setting \(x, y\)"),
     ("y z 1 2 3 four", r"counts must be integers, got \['1', '2', '3', 'four'\]"),
+    # int alone reads these: counts take the number syntax of every other input
+    ("y z 1 2 3 \u0661", r"counts must be integers, got \['1', '2', '3', '\u0661'\]"),
+    ("y z 1 2 3 1_0", r"counts must be integers, got \['1', '2', '3', '1_0'\]"),
 ])
 def test_read_counts_record_diagnostics_name_their_line(tmp_path, record, message):
     # header, two records, then the faulty record on line 4

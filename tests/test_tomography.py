@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from fractions import Fraction
 from functools import reduce
 from operator import add
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_full_rank_gamma
+from rebitkit import cli
 from rebitkit import pauli_core as pc
 from rebitkit import tomography as tm
 
@@ -40,6 +42,12 @@ def _loop_probabilities(g):
     return np.array([[row / row.sum() for row in block] for block in p])
 
 
+def _jeffreys_variance(signed, n):
+    """(1 - h**2) / (n + 2), h = signed / (n + 1), as (1 - h)(1 + h) from exact integers."""
+    m = n + 1
+    return (m - signed) / m * ((m + signed) / m) / (n + 2)
+
+
 def _loop_estimate(counts):
     """Reference: the per-setting linear inversion, in Python floats, settings in BASES order.
 
@@ -52,28 +60,19 @@ def _loop_estimate(counts):
         for j in range(3):
             n_pp, n_pm, n_mp, n_mm = (int(c) for c in counts[i, j])
             n = n_pp + n_pm + n_mp + n_mm
-            corr = (n_pp - n_pm - n_mp + n_mm) / n
-            gamma[i + 1, j + 1] = corr
-            sigma[i + 1, j + 1] = np.sqrt(max(1.0 - corr**2, 0.0) / n)
-            ma = (n_pp + n_pm - n_mp - n_mm) / n
-            mb = (n_pp - n_pm + n_mp - n_mm) / n
-            marg_a[i].append((ma, max(1.0 - ma**2, 0.0) / n))
-            marg_b[j].append((mb, max(1.0 - mb**2, 0.0) / n))
+            corr = n_pp - n_pm - n_mp + n_mm
+            gamma[i + 1, j + 1] = corr / n
+            sigma[i + 1, j + 1] = np.sqrt(_jeffreys_variance(corr, n))
+            ma = n_pp + n_pm - n_mp - n_mm
+            mb = n_pp - n_pm + n_mp - n_mm
+            marg_a[i].append((ma / n, _jeffreys_variance(ma, n)))
+            marg_b[j].append((mb / n, _jeffreys_variance(mb, n)))
     for k in range(3):
         gamma[k + 1, 0] = np.mean([v for v, _ in marg_a[k]])
         sigma[k + 1, 0] = np.sqrt(reduce(add, (var for _, var in marg_a[k]), 0.0)) / 3
         gamma[0, k + 1] = np.mean([v for v, _ in marg_b[k]])
         sigma[0, k + 1] = np.sqrt(reduce(add, (var for _, var in marg_b[k]), 0.0)) / 3
     return gamma, sigma
-
-
-def test_estimate_squares_as_python_floats_do():
-    # 33/41 squares one unit in the last place apart under C pow (float ** 2) and x * x
-    data = tm.CountsDataset(np.tile([37, 2, 2, 0], (3, 3, 1)))
-    est = tm.estimate_correlations(data)
-    gamma, sigma = _loop_estimate(data.counts)
-    np.testing.assert_array_equal(est.gamma, gamma)
-    np.testing.assert_array_equal(est.sigma, sigma)
 
 
 def test_array_math_equals_per_setting_loops_bit_for_bit():
@@ -92,14 +91,6 @@ def test_array_math_equals_per_setting_loops_bit_for_bit():
         gamma, sigma = _loop_estimate(data.counts)
         np.testing.assert_array_equal(est.gamma, gamma)
         np.testing.assert_array_equal(est.sigma, sigma)
-        # the mixture adds weight-scaled parts in input order, then rounds
-        other = tm.simulate_counts(random_full_rank_gamma(rng), data.counts[0, 0].sum(), seed=k + 1)
-        w = rng.uniform(0.1, 1.0)
-        mixed = np.zeros((3, 3, 4))
-        for part, weight in ((data, w / (w + 0.5)), (other, 0.5 / (w + 0.5))):
-            mixed = mixed + weight * part.counts.astype(float)
-        np.testing.assert_array_equal(tm.mix_datasets([(data, w), (other, 0.5)]).counts,
-                                      np.rint(mixed))
 
 
 def test_simulate_counts_deterministic():
@@ -176,20 +167,27 @@ def test_counts_dataset_accepts_event_bounds_and_is_read_only():
 
 
 def test_estimate_degenerate_sigma():
-    counts = np.full((3, 3, 4), 25_000)
-    counts[2, 2] = (50_000, 0, 0, 50_000)
-    est = tm.estimate_correlations(tm.CountsDataset(counts))
-    assert est.gamma[3, 3] == 1.0
-    assert est.sigma[3, 3] == 0.0
+    # every y-y event correlated: gamma[y,y] = 1, yet its sigma is the Jeffreys
+    # posterior one, sqrt((1 - h**2) / (n + 2)) with h = n / (n + 1), and not 0
+    for events in (2, 100_000, 2**53):
+        counts = np.full((3, 3, 4), events // 4)
+        counts[..., 0] += events - counts.sum(axis=-1)
+        counts[2, 2] = (events // 2, 0, 0, events - events // 2)
+        est = tm.estimate_correlations(tm.CountsDataset(counts))
+        assert est.gamma[3, 3] == 1.0
+        h = Fraction(events, events + 1)
+        assert est.sigma[3, 3] > 0.0
+        assert est.sigma[3, 3] ** 2 == pytest.approx(float((1 - h * h) / (events + 2)), rel=1e-15)
 
 
 def test_estimate_uniform_counts():
     est = tm.estimate_correlations(tm.CountsDataset(np.full((3, 3, 4), 25_000)))
     assert est.gamma[0, 0] == 1.0
     assert np.abs(est.gamma[1:, 1:]).max() == 0.0
-    np.testing.assert_allclose(est.sigma[1:, 1:], 1.0 / np.sqrt(100_000))
+    # h = 0: the Jeffreys variance is 1 / (n + 2)
+    np.testing.assert_allclose(est.sigma[1:, 1:], 1.0 / np.sqrt(100_002))
     # marginals average three settings: sigma reduced by sqrt(3)
-    np.testing.assert_allclose(est.sigma[1:, 0], 1.0 / np.sqrt(3 * 100_000))
+    np.testing.assert_allclose(est.sigma[1:, 0], 1.0 / np.sqrt(3 * 100_002))
     assert est.sigma[0, 0] == 0.0
 
 
@@ -232,61 +230,33 @@ def test_sigma_scaling():
     assert sigmas[1] / sigmas[2] == pytest.approx(np.sqrt(10), rel=0.2)
 
 
+def _simulate(spec, events, seed):
+    """The counts ``simulate --state spec --events events --seed seed`` writes."""
+    return tm.simulate_counts(cli.parse_state_spec(spec), events, seed=seed)
+
+
 def test_mix_single_identity():
-    d = tm.simulate_counts(pc.cfr_state(0.3), 5_000, seed=1)
-    mixed = tm.mix_datasets([(d, 1.0)])
-    np.testing.assert_array_equal(mixed.counts, d.counts)
-    assert mixed.counts.dtype == np.int64
+    # a mixture of one component draws the component's own counts
+    d = _simulate("mix:RL=0.3", 5_000, 1)
+    np.testing.assert_array_equal(d.counts, _simulate("product:RL", 5_000, 1).counts)
+    assert d.counts.dtype == np.int64
 
 
 def test_mix_circular_products_gives_cfr():
-    gRR = pc.product_correlation(pc.POLARIZATION_BLOCH["R"], pc.POLARIZATION_BLOCH["R"])
-    gLL = pc.product_correlation(pc.POLARIZATION_BLOCH["L"], pc.POLARIZATION_BLOCH["L"])
-    dsRR = tm.simulate_counts(gRR, 100_000, seed=1)
-    dsLL = tm.simulate_counts(gLL, 100_000, seed=2)
-    est = tm.estimate_correlations(tm.mix_datasets([(dsRR, 0.5), (dsLL, 0.5)]))
+    est = tm.estimate_correlations(_simulate("mix:RR=0.5,LL=0.5", 100_000, 1))
     assert est.gamma[3, 3] == pytest.approx(1.0, abs=0.01)
     assert abs(est.gamma[1, 1]) < 0.02 and abs(est.gamma[2, 2]) < 0.02
     assert abs(est.gamma[0, 3]) < 0.02
 
 
 def test_mix_opposite_circulars_gives_cfr0():
-    gRL = pc.product_correlation(pc.POLARIZATION_BLOCH["R"], pc.POLARIZATION_BLOCH["L"])
-    gLR = pc.product_correlation(pc.POLARIZATION_BLOCH["L"], pc.POLARIZATION_BLOCH["R"])
-    dsRL = tm.simulate_counts(gRL, 100_000, seed=3)
-    dsLR = tm.simulate_counts(gLR, 100_000, seed=4)
-    est = tm.estimate_correlations(tm.mix_datasets([(dsRL, 0.5), (dsLR, 0.5)]))
+    est = tm.estimate_correlations(_simulate("mix:RL=0.5,LR=0.5", 100_000, 3))
     assert est.gamma[3, 3] == pytest.approx(-1.0, abs=0.01)
 
 
 def test_mix_all_circulars_gives_mixed():
-    parts = []
-    for i, pair in enumerate(("RR", "LL", "RL", "LR")):
-        g = pc.product_correlation(
-            pc.POLARIZATION_BLOCH[pair[0]], pc.POLARIZATION_BLOCH[pair[1]]
-        )
-        parts.append((tm.simulate_counts(g, 50_000, seed=10 + i), 1.0))
-    est = tm.estimate_correlations(tm.mix_datasets(parts))
+    est = tm.estimate_correlations(_simulate("mix:RR=1,LL=1,RL=1,LR=1", 50_000, 10))
     assert np.abs(est.gamma - np.diag([1.0, 0, 0, 0])).max() < 0.02
-
-
-@pytest.mark.parametrize("weights, message", [
-    ([], "nothing to mix"),
-    ([0.5, -0.1], "weights must be nonnegative with positive sum"),
-    ([0.0, 0.0], "weights must be nonnegative with positive sum"),
-])
-def test_mix_rejects_bad_weights(weights, message):
-    data = tm.simulate_counts(pc.cfr_state(0.5), 1_000, seed=0)
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        tm.mix_datasets([(data, w) for w in weights])
-
-
-def test_mix_rejects_mismatched_settings():
-    # a dataset that covers eight settings cannot be built, so it cannot be mixed
-    d1 = tm.simulate_counts(pc.cfr_state(0.5), 1_000, seed=0)
-    d2 = tm.simulate_counts(pc.cfr_state(0.5), 1_000, seed=1)
-    with pytest.raises(ValueError, match=r"\(3, 3, 4\) int64 array, got int64 \(8, 4\)"):
-        tm.mix_datasets([(d1, 0.5), (tm.CountsDataset(d2.counts.reshape(9, 4)[:8]), 0.5)])
 
 
 def test_repair_identity_on_physical():
@@ -496,7 +466,7 @@ def test_positivity_check_is_sound_and_repair_unchanged(name, certified_count):
 
 @pytest.mark.parametrize("g_true, events, repaired", [
     (pc.cfr_state(0.98), 100_000, 0),
-    (_pure_with_noise(np.random.default_rng(4), 0.1), 1000, 3_778),
+    (_pure_with_noise(np.random.default_rng(4), 0.1), 1000, 3_769),
     (_pure_with_noise(np.random.default_rng(4), 0.02), 300, 10_000),
 ])
 def test_monte_carlo_unchanged_by_positivity_check(monkeypatch, g_true, events, repaired):
