@@ -369,11 +369,13 @@ def run_analysis(
         stack = monte_carlo_propagate(estimated, mc_samples, mc_seed)
         if mc_samples:
             samples = stack[1:]
-            # columns: distance and residual per field, then the similarity
-            columns = [c for fld in fields for c in expansion_error(samples, fld)]
+            # sigma index -> column; the complex expansion is complete: its columns are 0
+            columns = {2 * i + k: c for i, fld in enumerate(fields) if fld is NumberField.REAL
+                       for k, c in enumerate(expansion_error(samples, fld))}
             if target_gamma is not None:
-                columns.append(similarity(samples, target_gamma))
-            sigmas = np.stack(columns, axis=-1).std(axis=0, ddof=1)
+                columns[len(sigmas) - 1] = similarity(samples, target_gamma)
+            if columns:
+                sigmas[list(columns)] = np.stack(list(columns.values()), -1).std(axis=0, ddof=1)
     except MemoryError:
         raise ValueError(
             f"--mc-samples {mc_samples} needs more memory than is available"

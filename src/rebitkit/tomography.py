@@ -12,11 +12,12 @@ recovers the correlation matrix; each entry's standard deviation is the
 Jeffreys (add-1/2) posterior one, which is never zero.
 Monte Carlo stacks the estimate on samples drawn around it entrywise
 normally and repairs the (N + 1, 4, 4) stack block by block, a lone
-matrix as one block: a closed-form positivity check passes most rows as
-they are, one batched eigendecomposition takes the rest, and those negative
-beyond round-off are clipped.  ``monte_carlo_propagate`` is the one route
-from an estimate to repaired states: row 0 serves a single-state analysis
-and rows 1 on any batched analysis spread over the samples.
+matrix as one block: Weyl's bound around the estimate and a closed-form
+positivity check pass most rows as they are, one batched
+eigendecomposition takes the rest, and those negative beyond round-off
+are clipped.  ``monte_carlo_propagate`` is the one route from an
+estimate to repaired states: row 0 serves a single-state analysis and
+rows 1 on any batched analysis spread over the samples.
 """
 
 from __future__ import annotations
@@ -191,16 +192,28 @@ def repair_to_physical(g: np.ndarray) -> np.ndarray:
     negative only by round-off (``_ROUNDOFF_FLOOR``), so repairing twice
     gives the bits of repairing once.  The stack is checked once and goes
     in blocks, a lone matrix one, so the temporaries stay small beside it.
-    In every block, the matrices a closed-form elimination does not certify
-    go through one batched ``eigh``, and only those with an eigenvalue below
-    the floor are clipped, rebuilt and written back; a block with none is done.
+    Weyl's bound leaves every row within 2 (l0 - margin) of the first row
+    as given, l0 its smallest eigenvalue, since the Pauli products are
+    orthogonal: ||rho_k - rho_0||_2 <= ||gamma_k - gamma_0||_F / 2.  Of the
+    rest, the rows a closed-form elimination does not certify go through
+    one batched ``eigh`` per block, and only those with an eigenvalue below
+    the floor are clipped, rebuilt and written back.
     """
     g = np.array(g, dtype=float)
     stack = check_correlation(g).reshape(-1, 4, 4)
+    if not len(stack):
+        return g
+    # checked with the stack: the transforms run without density_from_correlation's checks
+    reference = stack[0].copy()  # taken before block 0 is written back
+    slack = np.linalg.eigvalsh(_pauli_sum(reference, _DENSITY_TERMS) / 4.0)[0] - _POSITIVE_MARGIN
     for a in range(0, len(stack), _BLOCK):
         block = stack[a : a + _BLOCK]
-        # checked with the stack: the transform runs without density_from_correlation's checks
-        rho = _pauli_sum(block, _DENSITY_TERMS)
+        index = np.arange(len(block))
+        if slack > 0.0:  # squared distances against (2 * slack)**2: no square root
+            index = np.flatnonzero(((block - reference) ** 2).sum(axis=(1, 2)) >= 4.0 * slack**2)
+            if not len(index):
+                continue
+        rho = _pauli_sum(block if len(index) == len(block) else block[index], _DENSITY_TERMS)
         rho /= 4.0
         rows = np.flatnonzero(~_certified_positive(rho))
         if not len(rows):
@@ -212,7 +225,7 @@ def repair_to_physical(g: np.ndarray) -> np.ndarray:
         # Hermitian, finite and of unit trace by construction: correlation_from_density's
         # checks would pass every rebuilt matrix, so the transform runs without them
         rebuilt = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
-        block[rows[clipped]] = _pauli_sum(rebuilt, _CORRELATION_TERMS).real
+        block[index[rows[clipped]]] = _pauli_sum(rebuilt, _CORRELATION_TERMS).real
     return g
 
 

@@ -661,6 +661,26 @@ def test_analyze_complex_distance_sigma_is_exactly_zero(tmp_path):
     assert blocks["real"]["residual_sigma"] > 0.0
 
 
+def test_analyze_complex_field_alone_spreads_no_column(tmp_path, monkeypatch):
+    # without --target, --fields complex leaves no column to spread: every sigma is 0
+    def failing(samples, field):
+        raise AssertionError(f"expansion_error called for {field}")
+
+    monkeypatch.setattr(cli, "expansion_error", failing)
+    counts = tmp_path / "c.txt"
+    cli.main(["simulate", "--state", "mix:RR=0.495,LL=0.495,mixed=0.01", "--events", "300",
+              "--seed", "5", "--out", str(counts)])
+    out = tmp_path / "r.json"
+    assert cli.main(["analyze", "--counts", str(counts), "--fields", "complex",
+                     "--mc-samples", "150", "--seed", "4", "--out", str(out)]) == 0
+    doc = cli.read_report(str(out))
+    assert doc["monte_carlo"] == {"samples": 150, "seed": 4}
+    assert list(doc["decompositions"]) == ["complex"]
+    block = doc["decompositions"]["complex"]
+    assert block["distance_sigma"] == 0.0 and block["residual_sigma"] == 0.0
+    assert doc["similarity_to_target"] is None
+
+
 @pytest.mark.parametrize("entry", [(1, 1), (0, 0)])
 def test_exact_rejects_non_finite_gamma_entry(tmp_path, capsys, entry):
     gamma = np.diag([1.0, 0.2, 0.1, -0.3])
@@ -1368,7 +1388,8 @@ def test_stacked_repair_equals_two_step_reference(monkeypatch, spec, events, see
     monkeypatch.setattr(cli, "monte_carlo_propagate", two_step)
     want_doc, want_seen = analysis()
     assert json.dumps(doc) == json.dumps(want_doc)
-    assert seen == want_seen and len(seen) == 2 + 2 * (mc_samples > 0)
+    # two decompositions, and one expansion_error call for the real field's columns
+    assert seen == want_seen and len(seen) == 2 + (mc_samples > 0)
     assert doc["provenance"]["estimate_repaired"] is repaired
 
 

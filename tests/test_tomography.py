@@ -6,6 +6,8 @@ from operator import add
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_full_rank_gamma
 from rebitkit import cli
@@ -566,3 +568,86 @@ def test_repair_runs_eigh_on_uncertified_rows_only(monkeypatch, name, eigh_rows)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     assert tm.repair_to_physical(g).tobytes() == expected.tobytes()
     assert calls == eigh_rows
+
+
+def _recording_elimination(mp):
+    """Record the rho of every matrix that reaches ``_certified_positive``, as bytes."""
+    seen = []
+    certified_positive = tm._certified_positive
+
+    def recording(rho):
+        seen.extend(r.tobytes() for r in rho)
+        return certified_positive(rho)
+
+    mp.setattr(tm, "_certified_positive", recording)
+    return seen
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300))
+def test_weyl_pass_is_sound_and_repair_unchanged(seed, n):
+    # rows at distance f * slack from a full-rank state, f from 0.1 to 10: Weyl's bound
+    # certifies those with f < 2 from the state's smallest eigenvalue alone
+    rng = np.random.default_rng(seed)
+    g0 = random_full_rank_gamma(rng)
+    slack = np.linalg.eigvalsh(pc.density_from_correlation(g0))[0] - tm._POSITIVE_MARGIN
+    u = rng.normal(size=(n, 4, 4))
+    u[:, 0, 0] = 0.0
+    u /= np.linalg.norm(u, axis=(1, 2), keepdims=True)
+    f = np.r_[0.0, 10.0 ** rng.uniform(-1.0, 1.0, size=n)]
+    stack = np.concatenate([g0[None], g0 + f[1:, None, None] * slack * u])
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _recording_elimination(mp)
+        repaired = tm.repair_to_physical(stack)
+    rho = pc.density_from_correlation(stack)
+    seen = set(seen)
+    left = np.array([r.tobytes() not in seen for r in rho])
+    # the pass leaves a row to the elimination exactly when f >= 2, up to round-off
+    clear = np.abs(f - 2.0) > 1e-9
+    assert (left[clear] == (f[clear] < 2.0)).all()
+    assert (np.linalg.eigvalsh(rho[left])[:, 0] >= tm._POSITIVE_MARGIN).all()
+    assert repaired.tobytes() == _repair_every_matrix(stack).tobytes()
+    for g, r in zip(stack, repaired):
+        assert tm.repair_to_physical(g).tobytes() == r.tobytes()
+        assert _repair_every_matrix(g).tobytes() == r.tobytes()
+
+
+@pytest.mark.parametrize("name, checked_rows", [
+    ("certified lone matrix", 0),
+    ("lab-like stack", 0),
+    ("edge-like stack", 151),
+])
+def test_weyl_pass_leaves_the_elimination_only_far_rows(monkeypatch, name, checked_rows):
+    # a physical estimate certifies its lab-scale samples; an unphysical one certifies none
+    g = {
+        "certified lone matrix": lambda: _pure_with_noise(np.random.default_rng(24), 0.3),
+        "lab-like stack": lambda: _estimate_and_samples(pc.cfr_state(0.98), 100_000, 1),
+        "edge-like stack": lambda: _estimate_and_samples(
+            _pure_with_noise(np.random.default_rng(4), 0.02), 300, 1),
+    }[name]()
+    expected = _repair_every_matrix(g)
+    seen = _recording_elimination(monkeypatch)
+    assert tm.repair_to_physical(g).tobytes() == expected.tobytes()
+    assert len(seen) == checked_rows
+
+
+@pytest.mark.parametrize("name", ["edge-like stack", "bell samples"])
+def test_weyl_reference_is_the_unrepaired_first_row(monkeypatch, name):
+    # row 0 lies in the first block and is clipped there; the reference is taken before
+    g = {
+        "edge-like stack": lambda: _estimate_and_samples(
+            _pure_with_noise(np.random.default_rng(4), 0.02), 300, 1),
+        "bell samples": lambda: BOUNDARY_STACKS["bell samples"],
+    }[name]()
+    references = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording_eigvalsh(a):
+        references.append(a.tobytes())
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    repaired = tm.repair_to_physical(g)
+    assert references == [pc.density_from_correlation(g[0]).tobytes()]
+    assert (repaired[0] != g[0]).any()
+    assert repaired.tobytes() == _repair_every_matrix(g).tobytes()
