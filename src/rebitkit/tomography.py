@@ -12,12 +12,11 @@ recovers the correlation matrix; each entry's standard deviation is the
 Jeffreys (add-1/2) posterior one, which is never zero.
 Monte Carlo stacks the estimate on samples drawn around it entrywise
 normally and repairs the (N + 1, 4, 4) stack block by block, a lone
-matrix as one block: Weyl's bound around the estimate and a closed-form
-positivity check pass most rows as they are, one batched
-eigendecomposition takes the rest, and those negative beyond round-off
-are clipped.  ``monte_carlo_propagate`` is the one route from an
-estimate to repaired states: row 0 serves a single-state analysis and
-rows 1 on any batched analysis spread over the samples.
+matrix as one block: Weyl's bound and a closed-form check pass most rows
+as they are, one batched eigendecomposition takes the rest, and those
+negative beyond round-off are clipped.  ``monte_carlo_propagate`` is the one route
+from an estimate to repaired states: row 0 serves a single-state analysis
+and rows 1 on any batched analysis spread over the samples.
 """
 
 from __future__ import annotations
@@ -193,11 +192,11 @@ def repair_to_physical(g: np.ndarray) -> np.ndarray:
     gives the bits of repairing once.  The stack is checked once and goes
     in blocks, a lone matrix one, so the temporaries stay small beside it.
     Weyl's bound leaves every row within 2 (l0 - margin) of the first row
-    as given, l0 its smallest eigenvalue, since the Pauli products are
-    orthogonal: ||rho_k - rho_0||_2 <= ||gamma_k - gamma_0||_F / 2.  Of the
-    rest, the rows a closed-form elimination does not certify go through
-    one batched ``eigh`` per block, and only those with an eigenvalue below
-    the floor are clipped, rebuilt and written back.
+    as given, l0 its smallest eigenvalue, as ||rho_k - rho_0||_2 <=
+    ||gamma_k - gamma_0||_F / 2, until most rows of a block lie beyond it.
+    Of the rest, the rows a closed-form elimination does not certify go
+    through one batched ``eigh`` per block, and only those with an
+    eigenvalue below the floor are clipped, rebuilt and written back.
     """
     g = np.array(g, dtype=float)
     stack = check_correlation(g).reshape(-1, 4, 4)
@@ -209,8 +208,9 @@ def repair_to_physical(g: np.ndarray) -> np.ndarray:
     for a in range(0, len(stack), _BLOCK):
         block = stack[a : a + _BLOCK]
         index = np.arange(len(block))
-        if slack > 0.0:  # squared distances against (2 * slack)**2: no square root
-            index = np.flatnonzero(((block - reference) ** 2).sum(axis=(1, 2)) >= 4.0 * slack**2)
+        if slack > 0.0:  # the Pauli products are orthogonal: ||rho||_F = ||gamma||_F / 2
+            far = index[((block - reference) ** 2).sum(axis=(1, 2)) >= 4.0 * slack**2]
+            index, slack = (far, slack) if 2 * len(far) <= len(block) else (index, 0.0)
             if not len(index):
                 continue
         rho = _pauli_sum(block if len(index) == len(block) else block[index], _DENSITY_TERMS)
