@@ -25,15 +25,9 @@ import sys
 
 import numpy as np
 
-from rebitkit import EstimatedState, NumberField
+from rebitkit import NumberField
 from rebitkit.cli import parse_state_spec, run_analysis
-from rebitkit.tomography import (
-    DEFAULT_MC_SAMPLES,
-    check_events,
-    check_mc_samples,
-    estimate_correlations,
-    simulate_counts,
-)
+from rebitkit.tomography import DEFAULT_MC_SAMPLES, check_events, check_mc_samples, simulate_counts
 
 HEADER = "q,witness,real_distance,residual,complex_distance,real_sep,complex_sep"
 SIGMA_HEADER = ",witness_sigma,similarity,similarity_sigma,real_distance_sigma,residual_sigma"
@@ -55,8 +49,9 @@ def main(argv=None):
         qs = np.linspace(0.0, 1.0, args.steps)
     except (ValueError, IndexError, MemoryError):  # numpy's ways to refuse a grid too large
         parser.exit(2, f"error: --steps {args.steps} needs more memory than is available\n")
+    specs = [f"cfr:q={float(q)!r},v={args.visibility!r}" for q in qs]
     try:
-        gammas = [parse_state_spec(f"cfr:q={float(q)!r},v={args.visibility!r}") for q in qs]
+        gammas = [parse_state_spec(spec) for spec in specs]
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -76,14 +71,13 @@ def main(argv=None):
 
     print(HEADER if events is None else HEADER + SIGMA_HEADER)
     fields = [NumberField.REAL, NumberField.COMPLEX]
-    for k, (q, gamma) in enumerate(zip(qs, gammas)):
+    for k, (q, spec, gamma) in enumerate(zip(qs, specs, gammas)):
         try:
             if events is None:
-                doc = run_analysis(EstimatedState(gamma, np.zeros((4, 4))), fields, None, 0, 0, {})
+                doc = run_analysis(gamma, fields, "", 0, 0, {})
             else:
-                counts = simulate_counts(gamma, events, seed=seed + 2 * k)
-                doc = run_analysis(estimate_correlations(counts), fields, gamma, mc_samples,
-                                   seed + 2 * k + 1, {})
+                doc = run_analysis(simulate_counts(gamma, events, seed=seed + 2 * k), fields, spec,
+                                   mc_samples, seed + 2 * k + 1, {})
         except (ValueError, RuntimeError) as exc:
             parser.exit(2, f"error: at q={float(q)!r}: {exc}\n")
         w = doc["witness"]

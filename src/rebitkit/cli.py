@@ -339,15 +339,20 @@ def _decomposition_block(d: QuasiDecomposition, distance_sigma: float, residual_
 
 
 def run_analysis(
-    estimated: EstimatedState,
+    data: CountsDataset | np.ndarray,
     fields: list[NumberField],
-    target_gamma: np.ndarray | None,
+    target: str,
     mc_samples: int,
     mc_seed: int,
-    provenance: dict,
+    source: dict,
     extra_observables: list[DiagObservable] | None = None,
 ) -> dict:
     """The report document: witness, similarity and decompositions with Monte-Carlo uncertainties.
+
+    ``data`` is a ``CountsDataset``, estimated by ``estimate_correlations``,
+    or an exact 4x4 correlation matrix, whose estimate has sigma = 0.
+    ``target`` is a state spec, ``""`` for none; the provenance follows the
+    command's own ``source`` keys with the other arguments.
 
     The witness and the similarity are evaluated on the raw estimate (the
     witness uncertainty propagates quadratically from the entrywise
@@ -362,20 +367,27 @@ def run_analysis(
     order, every number rounded by ``_round9`` as it is built; the summary
     and the CSVs read the same dict.
     """
+    if isinstance(data, CountsDataset):
+        estimated = estimate_correlations(data)
+    else:
+        estimated = EstimatedState(gamma=data, sigma=np.zeros((4, 4)))
+    target_gamma = parse_state_spec(target) if target else None
     gamma = estimated.gamma
     witness = _witness_dict(evaluate_witness(gamma, SIGMA_YY, sigma_gamma=estimated.sigma))
-    sigmas = np.zeros(2 * len(fields) + (target_gamma is not None))
+    # the real field's distance and residual, and the similarity; the complex
+    # expansion is complete, so its distance and residual spread by 0
+    sigmas = {"distance": 0.0, "residual": 0.0, "similarity": 0.0}
     try:
         stack = monte_carlo_propagate(estimated, mc_samples, mc_seed)
         if mc_samples:
             samples = stack[1:]
-            # sigma index -> column; the complex expansion is complete: its columns are 0
-            columns = {2 * i + k: c for i, fld in enumerate(fields) if fld is NumberField.REAL
-                       for k, c in enumerate(expansion_error(samples, fld))}
+            columns = {}
+            if NumberField.REAL in fields:
+                columns["distance"], columns["residual"] = expansion_error(samples, NumberField.REAL)
             if target_gamma is not None:
-                columns[len(sigmas) - 1] = similarity(samples, target_gamma)
+                columns["similarity"] = similarity(samples, target_gamma)
             if columns:
-                sigmas[list(columns)] = np.stack(list(columns.values()), -1).std(axis=0, ddof=1)
+                sigmas.update(zip(columns, np.stack(list(columns.values()), -1).std(axis=0, ddof=1)))
     except MemoryError:
         raise ValueError(
             f"--mc-samples {mc_samples} needs more memory than is available"
@@ -384,21 +396,24 @@ def run_analysis(
     mc_block = {"samples": mc_samples, "seed": mc_seed} if mc_samples else None
 
     # the repair is checked and physical: decompose it without checking again
-    results = {fld: _decompose(gamma_phys, fld)[0] for fld in fields}
+    results = {fld: _decompose(gamma_phys, fld) for fld in fields}
     similarity_block = None
     if target_gamma is not None:
-        value, sigma = _round9([similarity(gamma, target_gamma), sigmas[-1]])
-        similarity_block = {"target": provenance.get("target", ""), "value": value, "sigma": sigma}
+        value, sigma = _round9([similarity(gamma, target_gamma), sigmas["similarity"]])
+        similarity_block = {"target": target, "value": value, "sigma": sigma}
     gamma_rounded, sigma_rounded = _round9([gamma, estimated.sigma])
     doc = {
         "format": "rebitkit-report v1",
-        "provenance": {**provenance, "estimate_repaired": bool((gamma_phys != gamma).any())},
+        "provenance": {**source, "fields": [fld.value for fld in fields], "target": target,
+                       "mc_samples": mc_samples, "mc_seed": mc_seed,
+                       "estimate_repaired": bool((gamma_phys != gamma).any())},
         "estimated": {"gamma": gamma_rounded, "sigma": sigma_rounded},
         "witness": witness,
         "similarity_to_target": similarity_block,
         "decompositions": {
-            fld.value: _decomposition_block(dec, *sigmas[2 * i:2 * i + 2])
-            for i, (fld, dec) in enumerate(results.items())
+            fld.value: _decomposition_block(dec, *((sigmas["distance"], sigmas["residual"])
+                                                   if fld is NumberField.REAL else (0.0, 0.0)))
+            for fld, dec in results.items()
         },
         "monte_carlo": mc_block,
     }
@@ -535,33 +550,16 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     """``analyze`` a counts file or run ``exact`` on a state spec."""
     if args.command == "analyze":
         mc_samples = check_mc_samples(args.mc_samples, "--mc-samples")
-        estimated = estimate_correlations(read_counts(args.counts))
-        source = {"counts_path": args.counts}
+        data = read_counts(args.counts)
+        source = {"command": args.command, "counts_path": args.counts}
         mc_seed = _seed(args.seed)
     else:
-        estimated = EstimatedState(gamma=parse_state_spec(args.state), sigma=np.zeros((4, 4)))
-        source = {"state": args.state}
+        data = parse_state_spec(args.state)
+        source = {"command": args.command, "state": args.state}
         mc_samples = mc_seed = 0
     fields = _parse_fields(args.fields)
-    target_gamma = parse_state_spec(args.target) if args.target else None
     extra = [_parse_observable(o) for o in args.observable]
-    provenance = {
-        "command": args.command,
-        **source,
-        "fields": [f.value for f in fields],
-        "target": args.target or "",
-        "mc_samples": mc_samples,
-        "mc_seed": mc_seed,
-    }
-    doc = run_analysis(
-        estimated,
-        fields,
-        target_gamma,
-        mc_samples=mc_samples,
-        mc_seed=mc_seed,
-        provenance=provenance,
-        extra_observables=extra,
-    )
+    doc = run_analysis(data, fields, args.target, mc_samples, mc_seed, source, extra)
     write_report(args.out, doc)
     print(f"wrote {args.out}")
     print(_report_summary(doc))

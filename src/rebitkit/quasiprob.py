@@ -133,19 +133,20 @@ def decompose(g: np.ndarray, field: NumberField) -> tuple[QuasiDecomposition, fl
     closed forms of ``expansion_error`` on the state actually given, and
     both are exactly zero for the complex field.
     """
-    return _decompose(_check_physical(g), field)
+    decomposition = _decompose(_check_physical(g), field)
+    return decomposition, decomposition.distance
 
 
-def _decompose(g: np.ndarray, field: NumberField) -> tuple[QuasiDecomposition, float]:
-    """``decompose`` of a physical ``g``, unchecked."""
+def _decompose(g: np.ndarray, field: NumberField) -> QuasiDecomposition:
+    """The decomposition ``decompose`` gives of a physical ``g``, unchecked."""
     sf = _to_standard_form(g, field)
     if sf.residual_offdiag > STANDARD_FORM_TOL:  # the closed-form weights need a diagonal
         raise ValueError(f"input is not in standard form (off-diagonal {sf.residual_offdiag:.3e})")
     decomposition = _transform(_pstd(sf.gamma_std, field), sf.maps)
     distance, residual = _expansion_error(g, field)
-    decomposition.distance = distance = float(distance)
+    decomposition.distance = float(distance)
     decomposition.residual_coeff = float(residual)
-    return decomposition, distance
+    return decomposition
 
 
 def expansion_error(g: np.ndarray, field: NumberField) -> tuple[np.ndarray, np.ndarray]:

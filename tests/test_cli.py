@@ -357,6 +357,24 @@ def test_report_roundtrip_bit_exact(tmp_path, monkeypatch):
     assert cli.read_report(str(out)) == doc
 
 
+def test_provenance_keys_and_values_pinned(tmp_path, monkeypatch):
+    """The command's own keys, then the fields, the target, the Monte-Carlo settings, the repair."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["simulate", "--state", "mix:RR=0.495,LL=0.495,mixed=0.01", "--events", "300",
+                     "--seed", "3", "--out", "c.txt"]) == 0
+    assert cli.main(["analyze", "--counts", "c.txt", "--fields", "complex,real", "--target",
+                     "cfr:q=1", "--mc-samples", "20", "--seed", "4", "--out", "a.json"]) == 0
+    assert cli.main(["exact", "--state", "cfr:q=0.3", "--fields", "real", "--out", "e.json"]) == 0
+    assert list(cli.read_report("a.json")["provenance"].items()) == [
+        ("command", "analyze"), ("counts_path", "c.txt"), ("fields", ["complex", "real"]),
+        ("target", "cfr:q=1"), ("mc_samples", 20), ("mc_seed", 4), ("estimate_repaired", True),
+    ]
+    assert list(cli.read_report("e.json")["provenance"].items()) == [
+        ("command", "exact"), ("state", "cfr:q=0.3"), ("fields", ["real"]),
+        ("target", ""), ("mc_samples", 0), ("mc_seed", 0), ("estimate_repaired", False),
+    ]
+
+
 def test_simulate_determinism(tmp_path):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
@@ -604,7 +622,8 @@ def test_monte_carlo_sigmas_bit_equal_to_callback_reference(monkeypatch, n_sampl
                                                            fields, target):
     rng = np.random.default_rng(n_samples)
     g_true = random_full_rank_gamma(rng, 0.01, 0.03) if kind == "edge" else random_full_rank_gamma(rng)
-    est = tm.estimate_correlations(tm.simulate_counts(g_true, events, seed=n_samples))
+    counts = tm.simulate_counts(g_true, events, seed=n_samples)
+    est = tm.estimate_correlations(counts)
     target_gamma = cli.parse_state_spec(target) if target else None
     _, want = reference_monte_carlo_propagate(est, n_samples, 9, reference_mc_outputs(fields,
                                                                                       target_gamma))
@@ -627,8 +646,8 @@ def test_monte_carlo_sigmas_bit_equal_to_callback_reference(monkeypatch, n_sampl
 
     monkeypatch.setattr(cli, "_decomposition_block", recording_block)
     monkeypatch.setattr(cli, "_round9", recording_round9)
-    cli.run_analysis(est, list(fields), target_gamma, mc_samples=n_samples, mc_seed=9,
-                     provenance={})
+    cli.run_analysis(counts, list(fields), target or "", mc_samples=n_samples, mc_seed=9,
+                     source={})
     got = np.array(blocks + similarity_sigmas, dtype=float)
     assert got.tobytes() == want.tobytes()
 
@@ -1351,12 +1370,13 @@ def test_read_counts_record_diagnostics_name_their_line(tmp_path, record, messag
 @pytest.mark.parametrize("mc_samples", [0, 2, 255, 256, 257])  # 256 moves to the next block
 def test_stacked_repair_equals_two_step_reference(monkeypatch, spec, events, seed, repaired,
                                                   mc_samples):
-    est = tm.estimate_correlations(tm.simulate_counts(cli.parse_state_spec(spec), events, seed))
-    target = cli.parse_state_spec("cfr:q=1")
+    counts = tm.simulate_counts(cli.parse_state_spec(spec), events, seed)
+    est = tm.estimate_correlations(counts)
 
     def two_step(e, n_samples, seed):
         """The repair as two calls: the estimate alone, then default_rng(seed)'s draws."""
-        assert e is est and (n_samples, seed) == (mc_samples, 5)
+        assert (e.gamma.tobytes(), e.sigma.tobytes()) == (est.gamma.tobytes(), est.sigma.tobytes())
+        assert (n_samples, seed) == (mc_samples, 5)
         rows = [tm.repair_to_physical(e.gamma)[None]]
         if n_samples:
             noise = np.random.default_rng(seed).standard_normal((n_samples, 4, 4))
@@ -1380,8 +1400,8 @@ def test_stacked_repair_equals_two_step_reference(monkeypatch, spec, events, see
 
         monkeypatch.setattr(cli, "_decompose", recording_decompose)
         monkeypatch.setattr(cli, "expansion_error", recording_expansion_error)
-        doc = cli.run_analysis(est, [NF.REAL, NF.COMPLEX], target, mc_samples=mc_samples,
-                               mc_seed=5, provenance={"target": "cfr:q=1"})
+        doc = cli.run_analysis(counts, [NF.REAL, NF.COMPLEX], "cfr:q=1", mc_samples=mc_samples,
+                               mc_seed=5, source={})
         return doc, seen
 
     doc, seen = analysis()

@@ -152,6 +152,42 @@ def test_cfr_scan_simulated_rows_are_analyze_reports(tmp_path, capsys, visibilit
         assert doc["monte_carlo"] == {"samples": 20, "seed": 6 + 2 * k}
 
 
+def test_report_names_the_target_it_was_compared_with(tmp_path, monkeypatch, capsys):
+    """analyze, exact and the simulated scan: the similarity's target is the provenance's,
+    and it parses to the state every similarity of the document was taken against."""
+    docs, targets = [], []
+    real_run_analysis, real_similarity = cli.run_analysis, cli.similarity
+
+    def run_analysis(*args, **kwargs):
+        start = len(targets)
+        docs.append((real_run_analysis(*args, **kwargs), targets[start:]))
+        return docs[-1][0]
+
+    def similarity(g, target_gamma):
+        targets.append(target_gamma)
+        return real_similarity(g, target_gamma)
+
+    scan = load_script("cfr_scan")
+    monkeypatch.setattr(scan, "run_analysis", run_analysis)
+    monkeypatch.setattr(cli, "run_analysis", run_analysis)
+    monkeypatch.setattr(cli, "similarity", similarity)
+    counts, out = tmp_path / "c.txt", str(tmp_path / "r.json")
+    assert cli.main(["simulate", "--state", "cfr:q=0.4,v=0.9", "--events", "2000",
+                     "--out", str(counts)]) == 0
+    assert cli.main(["analyze", "--counts", str(counts), "--target", "cfr:q=1",
+                     "--mc-samples", "20", "--out", out]) == 0
+    assert cli.main(["exact", "--state", "cfr:q=0.4", "--target", "mix:RR=0.5,LL=0.5",
+                     "--out", out]) == 0
+    scan.main(["--steps", "3", "--events", "2000", "--mc-samples", "20"])
+    capsys.readouterr()
+    assert len(docs) == 2 + 3
+    for doc, used in docs:
+        target = doc["similarity_to_target"]["target"]
+        assert target == doc["provenance"]["target"]
+        want = cli.parse_state_spec(target).tobytes()
+        assert used and all(t.tobytes() == want for t in used)
+
+
 def test_cfr_scan_rejected_point_names_its_q(tmp_path, capsys):
     # two events per setting: at q = 0.8 (point 8) the estimate has no standard form
     with pytest.raises(SystemExit) as exc:
